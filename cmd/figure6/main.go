@@ -12,32 +12,24 @@
 //	figure6 -slcsweep 8192,16384,65536 -app ocean -scheme I-det
 //	figure6 -extensions -app lu
 //	figure6 -consistency mp3d ocean
-//	figure6 -j 8                 # fan simulations across 8 workers
-//	figure6 -manifest fig6.json -metrics
 //	figure6 -stalls              # busy/read/write/sync stall decomposition
-//	figure6 -http :8080          # live status endpoint while running
+//	figure6 -j 8 -manifest fig6.json -metrics -http :8080
 //
-// Simulations fan out across -j worker goroutines (default: all
-// cores); the rows are identical to a serial run regardless of -j.
+// The -procs, -scale, -seed, -j, -manifest, -metrics and -http flags
+// are the batch commands' shared set (internal/batchcli).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
-	"strconv"
-	"strings"
-	"time"
 
 	"prefetchsim"
-	"prefetchsim/internal/webstatus"
+	"prefetchsim/internal/batchcli"
 )
 
 func main() {
-	procs := flag.Int("procs", 16, "processor count")
-	scale := flag.Int("scale", 1, "data-set scale")
-	seed := flag.Uint64("seed", 0, "workload seed")
+	cli := batchcli.Register("figure6")
 	finite := flag.Bool("finite", false, "use the 16 KB SLC of §5.3 instead of an infinite SLC")
 	adaptive := flag.Bool("adaptive", false, "also run adaptive sequential prefetching")
 	app := flag.String("app", "lu", "application for -degrees / -slcsweep")
@@ -50,46 +42,17 @@ func main() {
 	assoc := flag.String("assoc", "", "comma-separated SLC associativities for the finite-cache ablation on -app")
 	consistency := flag.Bool("consistency", false, "compare release vs sequential consistency")
 	bars := flag.Bool("bars", false, "render the three panels as bar charts, as in the paper")
-	workers := flag.Int("j", 0, "simulations to run concurrently (0 = all cores, 1 = serial)")
-	manifest := flag.String("manifest", "", "write the sweep's provenance manifest (JSON) to this file")
-	metrics := flag.Bool("metrics", false, "print sweep-wide metric totals")
 	stalls := flag.Bool("stalls", false, "print the execution-time stall decomposition (busy/read/write/sync) per app and scheme")
-	httpAddr := flag.String("http", "", "serve a live JSON status endpoint on this address while the runs execute")
 	flag.Parse()
 
-	opt := prefetchsim.ExpOptions{Procs: *procs, Scale: *scale, Seed: *seed, Workers: *workers}
-	if args := flag.Args(); len(args) > 0 {
-		opt.Apps = args
-	}
-	var rec *prefetchsim.ManifestRecorder
-	if *manifest != "" || *metrics || *httpAddr != "" {
-		rec = &prefetchsim.ManifestRecorder{}
-		opt.Record = rec
-	}
-	if *httpAddr != "" {
-		var prog webstatus.Progress
-		opt.Progress = prog.Set
-		srv, err := webstatus.Serve(*httpAddr, func() webstatus.Status {
-			done, total, rows := prog.Snapshot()
-			runs, totals := rec.Status()
-			return webstatus.Status{
-				Tool: "figure6", Done: done, Total: total,
-				Rows: rows, Runs: runs, Metrics: totals,
-			}
-		})
-		exitOn(err)
-		defer srv.Close()
-		opt.OnRow = func(done, total int, row fmt.Stringer) { prog.Row() }
-		fmt.Fprintf(os.Stderr, "figure6: status endpoint on http://%s/status\n", srv.Addr())
-	}
-	start := time.Now()
+	opt := cli.Start()
 	var rendered []string
 
 	switch {
 	case *stalls:
 		fmt.Println("Execution-time stall decomposition (fractions of summed per-node time)")
 		rows, err := prefetchsim.StallBreakdown(opt)
-		exitOn(err)
+		cli.ExitOn(err)
 		rendered = render(rows)
 		prev := ""
 		for _, r := range rows {
@@ -100,21 +63,21 @@ func main() {
 			fmt.Println(" ", r)
 		}
 	case *bandwidth != "":
-		fs, err := ints(*bandwidth)
-		exitOn(err)
+		fs, err := batchcli.Ints(*bandwidth)
+		cli.ExitOn(err)
 		fmt.Printf("Bandwidth-limitation study (§7) on %s\n", *app)
 		rows, err := prefetchsim.BandwidthSweep(*app, fs, opt)
-		exitOn(err)
+		cli.ExitOn(err)
 		rendered = render(rows)
 		for _, r := range rows {
 			fmt.Println(" ", r)
 		}
 	case *assoc != "":
-		ws, err := ints(*assoc)
-		exitOn(err)
+		ws, err := batchcli.Ints(*assoc)
+		cli.ExitOn(err)
 		fmt.Printf("SLC associativity ablation (16 KB) on %s\n", *app)
 		rows, err := prefetchsim.AssocSweep(*app, ws, opt)
-		exitOn(err)
+		cli.ExitOn(err)
 		rendered = render(rows)
 		for _, r := range rows {
 			fmt.Println(" ", r)
@@ -122,37 +85,37 @@ func main() {
 	case *extensions:
 		fmt.Printf("Extension schemes (§6) on %s\n", *app)
 		rows, err := prefetchsim.ExtensionCompare(*app, opt)
-		exitOn(err)
+		cli.ExitOn(err)
 		rendered = render(rows)
 		print(rows)
 	case *zoo:
 		fmt.Printf("Prefetcher zoo vs the paper's schemes on %s\n", *app)
 		rows, err := prefetchsim.ZooCompare(*app, opt)
-		exitOn(err)
+		cli.ExitOn(err)
 		rendered = render(rows)
 		print(rows)
 	case *consistency:
 		fmt.Println("Release vs sequential consistency (the paper assumes RC)")
 		rows, err := prefetchsim.ConsistencyCompare(opt)
-		exitOn(err)
+		cli.ExitOn(err)
 		rendered = render(rows)
 		for _, r := range rows {
 			fmt.Println(" ", r)
 		}
 	case *degrees != "":
-		ds, err := ints(*degrees)
-		exitOn(err)
+		ds, err := batchcli.Ints(*degrees)
+		cli.ExitOn(err)
 		fmt.Printf("Degree sweep: %s on %s\n", *scheme, *app)
 		rows, err := prefetchsim.DegreeSweep(*app, prefetchsim.Scheme(*scheme), ds, opt)
-		exitOn(err)
+		cli.ExitOn(err)
 		rendered = render(rows)
 		print(rows)
 	case *slcsweep != "":
-		ss, err := ints(*slcsweep)
-		exitOn(err)
+		ss, err := batchcli.Ints(*slcsweep)
+		cli.ExitOn(err)
 		fmt.Printf("SLC-size sweep: %s on %s\n", *scheme, *app)
 		rows, err := prefetchsim.SLCSweep(*app, prefetchsim.Scheme(*scheme), ss, opt)
-		exitOn(err)
+		cli.ExitOn(err)
 		rendered = render(rows)
 		print(rows)
 	default:
@@ -170,7 +133,7 @@ func main() {
 			fmt.Println("Figure 6: relative read misses, prefetch efficiency, relative read stall (infinite SLC, d=1)")
 			rows, err = prefetchsim.Figure6(opt, schemes...)
 		}
-		exitOn(err)
+		cli.ExitOn(err)
 		rendered = render(rows)
 		if *bars {
 			fmt.Print(prefetchsim.RenderBars(rows))
@@ -179,14 +142,7 @@ func main() {
 		}
 	}
 
-	if *metrics {
-		printTotals(rec.Totals())
-	}
-	if *manifest != "" {
-		sm := rec.Sweep("figure6", os.Args[1:], rendered, time.Since(start))
-		exitOn(sm.WriteFile(*manifest))
-		fmt.Printf("manifest: %s (%d runs, rows digest %s)\n", *manifest, len(sm.Runs), sm.RowsDigest)
-	}
+	cli.Finish(os.Stdout, rendered)
 }
 
 // render flattens a row slice to its String() forms, in row order, for
@@ -199,19 +155,6 @@ func render[R fmt.Stringer](rows []R) []string {
 	return out
 }
 
-// printTotals renders sweep-wide metric totals, name-sorted.
-func printTotals(totals map[string]int64) {
-	names := make([]string, 0, len(totals))
-	for n := range totals {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	fmt.Println("metric totals:")
-	for _, n := range names {
-		fmt.Printf("  %-28s %d\n", n, totals[n])
-	}
-}
-
 func print(rows []prefetchsim.Fig6Row) {
 	prev := ""
 	for _, r := range rows {
@@ -220,24 +163,5 @@ func print(rows []prefetchsim.Fig6Row) {
 		}
 		prev = r.App
 		fmt.Println(" ", r)
-	}
-}
-
-func ints(csv string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(csv, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil {
-			return nil, fmt.Errorf("figure6: bad integer list %q: %v", csv, err)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func exitOn(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "figure6:", err)
-		os.Exit(1)
 	}
 }

@@ -6,7 +6,6 @@
 //	prefetchsim -app lu -scheme Seq -degree 1
 //	prefetchsim -app ocean -scheme I-det -slc 16384 -chars
 //	prefetchsim -app lu -scheme Seq -manifest run.json -metrics
-//	prefetchsim -app mp3d -trace events.jsonl -trace-sample 16
 //	prefetchsim -app ocean -scheme Seq -spans spans.jsonl -timeline tl.jsonl
 package main
 
@@ -35,8 +34,6 @@ func main() {
 	record := flag.String("record", "", "record the application's reference trace to this file and exit")
 	replay := flag.String("replay", "", "simulate a trace file recorded with -record instead of -app")
 	manifest := flag.String("manifest", "", "write the run's provenance manifest (JSON) to this file")
-	trace := flag.String("trace", "", "write a JSONL event trace (misses, prefetches, invalidations, acks) to this file")
-	traceSample := flag.Int("trace-sample", 1, "keep one in N traced events")
 	spans := flag.String("spans", "", "write transaction/stall spans as JSONL to this file (analyze with traceview)")
 	spanSample := flag.Int("span-sample", 1, "keep one in N raw spans (aggregates stay exact)")
 	spanCap := flag.Int("span-cap", 0, "raw-span ring capacity (0 = default)")
@@ -83,13 +80,6 @@ func main() {
 		CollectCharacteristics: *chars,
 		CollectMetrics:         *metrics || *manifest != "",
 	}
-	var traceFile *os.File
-	if *trace != "" {
-		f, err := os.Create(*trace)
-		exitOn(err)
-		traceFile = f
-		cfg.Trace = &prefetchsim.TraceConfig{W: f, Sample: *traceSample}
-	}
 	var spanFile *os.File
 	if *spans != "" {
 		f, err := os.Create(*spans)
@@ -123,13 +113,6 @@ func main() {
 		fmt.Println("metrics:")
 		for _, s := range res.Metrics {
 			fmt.Printf("  %-28s %d\n", s.Name, s.Value)
-		}
-	}
-	if traceFile != nil {
-		exitOn(traceFile.Close())
-		if sum := res.TraceStats; sum != nil {
-			fmt.Printf("trace: %d events seen, %d kept, %d dropped -> %s\n",
-				sum.Seen, sum.Kept, sum.Dropped, *trace)
 		}
 	}
 	if spanFile != nil {

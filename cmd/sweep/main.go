@@ -1,14 +1,17 @@
 // Command sweep runs a factorial sweep over applications, schemes,
 // degrees and cache sizes and emits one CSV row per simulation — the
 // raw-data path for plotting or statistics outside this repository.
-// The simulations fan out across -j worker goroutines; the CSV rows
-// stay in deterministic factorial order regardless of -j.
+// The CSV rows stay in deterministic factorial order regardless of -j.
 //
 // Usage:
 //
 //	sweep -apps lu,water -schemes baseline,I-det,Seq -o results.csv
 //	sweep -apps mp3d -schemes baseline,Seq -slc 0,16384 -degrees 1,2,4 -j 8
 //	sweep -apps lu -schemes baseline,Seq -manifest sweep.json -metrics
+//
+// The -procs, -scale, -seed, -j, -manifest, -metrics and -http flags
+// are the batch commands' shared set (internal/batchcli); sweep prints
+// its metric totals on stderr, keeping stdout free for the CSV.
 package main
 
 import (
@@ -17,14 +20,12 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"prefetchsim"
+	"prefetchsim/internal/batchcli"
 	"prefetchsim/internal/prof"
-	"prefetchsim/internal/webstatus"
 )
 
 var header = []string{
@@ -114,6 +115,7 @@ func sweep(s spec, w, errw io.Writer, rec *prefetchsim.ManifestRecorder, progres
 }
 
 func main() {
+	cli := batchcli.Register("sweep")
 	apps := flag.String("apps", strings.Join(prefetchsim.Apps(), ","),
 		"comma-separated applications (extras: "+strings.Join(prefetchsim.ExtraApps(), ",")+")")
 	schemes := flag.String("schemes", "baseline,I-det,D-det,Seq",
@@ -121,92 +123,47 @@ func main() {
 	degrees := flag.String("degrees", "1", "comma-separated prefetch degrees")
 	slcs := flag.String("slc", "0", "comma-separated SLC sizes in bytes (0 = infinite)")
 	ways := flag.Int("ways", 1, "SLC associativity for finite sizes")
-	procs := flag.Int("procs", 16, "processor count")
-	scale := flag.Int("scale", 1, "data-set scale")
-	seed := flag.Uint64("seed", 0, "workload seed")
 	bw := flag.Int("bandwidth", 1, "bandwidth divisor")
-	workers := flag.Int("j", 0, "simulations to run concurrently (0 = all cores, 1 = serial)")
 	out := flag.String("o", "", "output CSV file (default stdout)")
-	manifest := flag.String("manifest", "", "write the sweep's provenance manifest (JSON) to this file")
-	metrics := flag.Bool("metrics", false, "print sweep-wide metric totals on stderr")
-	httpAddr := flag.String("http", "", "serve a live JSON status endpoint on this address (e.g. :8080) while the sweep runs")
 	pf := prof.Register()
 	flag.Parse()
 
-	exitOn(pf.Start())
+	cli.ExitOn(pf.Start())
 
+	var f *os.File
 	w := io.Writer(os.Stdout)
 	if *out != "" {
-		f, err := os.Create(*out)
-		exitOn(err)
-		defer f.Close()
+		var err error
+		f, err = os.Create(*out)
+		cli.ExitOn(err)
 		w = f
 	}
 
-	degreeList, err := ints(*degrees)
-	exitOn(err)
-	slcList, err := ints(*slcs)
-	exitOn(err)
+	degreeList, err := batchcli.Ints(*degrees)
+	cli.ExitOn(err)
+	slcList, err := batchcli.Ints(*slcs)
+	cli.ExitOn(err)
 
+	opt := cli.Start()
 	s := spec{
 		apps:    splitTrim(*apps),
 		schemes: splitTrim(*schemes),
 		degrees: degreeList,
 		slcs:    slcList,
-		ways:    *ways, procs: *procs, scale: *scale, seed: *seed, bw: *bw,
-		workers: *workers,
+		ways:    *ways, procs: opt.Procs, scale: opt.Scale, seed: opt.Seed, bw: *bw,
+		workers: opt.Workers,
 	}
-	var rec *prefetchsim.ManifestRecorder
-	if *manifest != "" || *metrics || *httpAddr != "" {
-		rec = &prefetchsim.ManifestRecorder{}
-	}
-	var progress func(done, total int)
-	if *httpAddr != "" {
-		var prog webstatus.Progress
-		progress = prog.Set
-		srv, err := webstatus.Serve(*httpAddr, func() webstatus.Status {
-			done, total, _ := prog.Snapshot()
-			runs, totals := rec.Status()
-			return webstatus.Status{
-				Tool: "sweep", Done: done, Total: total,
-				Rows: done, Runs: runs, Metrics: totals,
-			}
-		})
-		exitOn(err)
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "sweep: status endpoint on http://%s/status\n", srv.Addr())
-	}
-	start := time.Now()
-	rows, failed, rendered, err := sweep(s, w, os.Stderr, rec, progress)
-	exitOn(err)
-	exitOn(pf.Stop())
-	if *out != "" {
+	rows, failed, rendered, err := sweep(s, w, os.Stderr, opt.Record, opt.Progress)
+	cli.ExitOn(err)
+	cli.ExitOn(pf.Stop())
+	if f != nil {
+		cli.ExitOn(f.Close())
 		fmt.Printf("wrote %d rows to %s\n", rows, *out)
 	}
-	if *metrics {
-		printTotals(os.Stderr, rec.Totals())
-	}
-	if *manifest != "" {
-		sm := rec.Sweep("sweep", os.Args[1:], rendered, time.Since(start))
-		exitOn(sm.WriteFile(*manifest))
-		fmt.Printf("manifest: %s (%d runs, rows digest %s)\n", *manifest, len(sm.Runs), sm.RowsDigest)
-	}
+	cli.Finish(os.Stderr, rendered)
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr, "sweep: %d of %d configurations failed\n", failed, rows+failed)
 		os.Exit(1)
-	}
-}
-
-// printTotals renders sweep-wide metric totals, name-sorted.
-func printTotals(w io.Writer, totals map[string]int64) {
-	names := make([]string, 0, len(totals))
-	for n := range totals {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	fmt.Fprintln(w, "metric totals:")
-	for _, n := range names {
-		fmt.Fprintf(w, "  %-28s %d\n", n, totals[n])
 	}
 }
 
@@ -246,23 +203,4 @@ func splitTrim(csvList string) []string {
 		out = append(out, strings.TrimSpace(f))
 	}
 	return out
-}
-
-func ints(csvList string) ([]int, error) {
-	var outList []int
-	for _, f := range strings.Split(csvList, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil {
-			return nil, fmt.Errorf("sweep: bad integer list %q: %v", csvList, err)
-		}
-		outList = append(outList, v)
-	}
-	return outList, nil
-}
-
-func exitOn(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sweep:", err)
-		os.Exit(1)
-	}
 }

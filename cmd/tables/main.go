@@ -7,92 +7,52 @@
 //	tables -table 2            # infinite SLC characteristics
 //	tables -table 3            # finite 16 KB SLC characteristics
 //	tables -table 4            # larger-data-set trends
-//	tables -table 2 -j 4       # fan the per-app runs across 4 workers
-//	tables -table 3 -manifest t3.json -metrics
+//	tables -table 3 -j 4 -manifest t3.json -metrics lu ocean
 //
-// The applications' runs fan out across -j worker goroutines (default:
-// all cores); the rows are identical to a serial run regardless of -j.
+// The -procs, -scale, -seed, -j, -manifest, -metrics and -http flags
+// are the batch commands' shared set (internal/batchcli).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
-	"time"
 
 	"prefetchsim"
-	"prefetchsim/internal/webstatus"
+	"prefetchsim/internal/batchcli"
 )
 
 func main() {
+	cli := batchcli.Register("tables")
 	table := flag.Int("table", 2, "table to regenerate: 2, 3 or 4")
-	procs := flag.Int("procs", 16, "processor count")
-	scale := flag.Int("scale", 1, "data-set scale")
-	seed := flag.Uint64("seed", 0, "workload seed")
-	workers := flag.Int("j", 0, "simulations to run concurrently (0 = all cores, 1 = serial)")
-	manifest := flag.String("manifest", "", "write the table's provenance manifest (JSON) to this file")
-	metrics := flag.Bool("metrics", false, "print table-wide metric totals")
-	httpAddr := flag.String("http", "", "serve a live JSON status endpoint on this address while the runs execute")
 	flag.Parse()
 
-	opt := prefetchsim.ExpOptions{Procs: *procs, Scale: *scale, Seed: *seed, Workers: *workers}
-	if args := flag.Args(); len(args) > 0 {
-		opt.Apps = args
-	}
-	var rec *prefetchsim.ManifestRecorder
-	if *manifest != "" || *metrics || *httpAddr != "" {
-		rec = &prefetchsim.ManifestRecorder{}
-		opt.Record = rec
-	}
-	if *httpAddr != "" {
-		var prog webstatus.Progress
-		opt.Progress = prog.Set
-		srv, err := webstatus.Serve(*httpAddr, func() webstatus.Status {
-			done, total, _ := prog.Snapshot()
-			runs, totals := rec.Status()
-			return webstatus.Status{
-				Tool: "tables", Done: done, Total: total,
-				Rows: done, Runs: runs, Metrics: totals,
-			}
-		})
-		exitOn(err)
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "tables: status endpoint on http://%s/status\n", srv.Addr())
-	}
-	start := time.Now()
+	opt := cli.Start()
 	var rendered []string
 
 	switch *table {
 	case 2:
 		fmt.Println("Table 2: application characteristics, infinite second-level cache")
 		rows, err := prefetchsim.Table2(opt)
-		exitOn(err)
+		cli.ExitOn(err)
 		rendered = emit(rows)
 	case 3:
 		fmt.Printf("Table 3: application characteristics, finite %d-byte direct-mapped SLC\n",
 			prefetchsim.FiniteSLCBytes)
 		rows, err := prefetchsim.Table3(opt)
-		exitOn(err)
+		cli.ExitOn(err)
 		rendered = emit(rows)
 	case 4:
 		fmt.Println("Table 4: characteristics trend with larger data sets, infinite SLC")
 		rows, err := prefetchsim.Table4(opt)
-		exitOn(err)
+		cli.ExitOn(err)
 		rendered = emit(rows)
 	default:
 		fmt.Fprintln(os.Stderr, "tables: -table must be 2, 3 or 4")
 		os.Exit(2)
 	}
 
-	if *metrics {
-		printTotals(rec.Totals())
-	}
-	if *manifest != "" {
-		sm := rec.Sweep("tables", os.Args[1:], rendered, time.Since(start))
-		exitOn(sm.WriteFile(*manifest))
-		fmt.Printf("manifest: %s (%d runs, rows digest %s)\n", *manifest, len(sm.Runs), sm.RowsDigest)
-	}
+	cli.Finish(os.Stdout, rendered)
 }
 
 // emit prints each row indented and returns the rendered lines for the
@@ -104,24 +64,4 @@ func emit[R fmt.Stringer](rows []R) []string {
 		fmt.Println(" ", r)
 	}
 	return out
-}
-
-// printTotals renders table-wide metric totals, name-sorted.
-func printTotals(totals map[string]int64) {
-	names := make([]string, 0, len(totals))
-	for n := range totals {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	fmt.Println("metric totals:")
-	for _, n := range names {
-		fmt.Printf("  %-28s %d\n", n, totals[n])
-	}
-}
-
-func exitOn(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tables:", err)
-		os.Exit(1)
-	}
 }

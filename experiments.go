@@ -51,15 +51,13 @@ type ExpOptions struct {
 	// with the number done and the job total. Calls are serialized and
 	// done is strictly increasing.
 	Progress func(done, total int)
-	// OnRow, when non-nil, streams each finished row (in completion
-	// order, serialized) as the sweep executes, before the full row
-	// slice is returned. Rows of failed jobs are not streamed.
-	OnRow func(done, total int, row fmt.Stringer)
-	// OnRowIndexed is OnRow with the row's submission index: callers
-	// that must re-emit rows in deterministic submission order (the job
+	// OnRowIndexed, when non-nil, streams each finished row with its
+	// submission index (in completion order, serialized) as the sweep
+	// executes, before the full row slice is returned. Callers that
+	// must re-emit rows in deterministic submission order (the job
 	// server streams the contiguous completed prefix) need to know
-	// which row landed, not just how many. Same serialization contract
-	// as OnRow.
+	// which row landed, not just how many. Rows of failed jobs are not
+	// streamed.
 	OnRowIndexed func(i, total int, row fmt.Stringer)
 	// Record, when non-nil, collects one provenance manifest — config,
 	// wall and virtual time, stats digest, metric totals — per
@@ -107,16 +105,13 @@ func (o ExpOptions) run(cfg Config) (*Result, error) {
 }
 
 // mapRows fans a sweep's jobs across the worker pool and streams every
-// finished row to OnRow (and the count to Progress) as it lands, then
-// gathers the submission-ordered rows. A cancelled ExpOptions.Ctx
-// skips the jobs not yet started.
+// finished row to OnRowIndexed (and the count to Progress) as it
+// lands, then gathers the submission-ordered rows. A cancelled
+// ExpOptions.Ctx skips the jobs not yet started.
 func mapRows[J any, R fmt.Stringer](o ExpOptions, jobs []J, fn func(i int, j J) (R, error)) ([]R, error) {
 	var each func(done, total, i int, r R, err error)
-	if o.Progress != nil || o.OnRow != nil || o.OnRowIndexed != nil {
+	if o.Progress != nil || o.OnRowIndexed != nil {
 		each = func(done, total, i int, r R, err error) {
-			if o.OnRow != nil && err == nil {
-				o.OnRow(done, total, r)
-			}
 			if o.OnRowIndexed != nil && err == nil {
 				o.OnRowIndexed(i, total, r)
 			}

@@ -80,15 +80,11 @@ type Config struct {
 	// PC and the missing address. The Table 2/3 application-
 	// characteristics analysis is built on this hook.
 	MissObserver func(node int, pc trace.PC, addr mem.Addr)
-	// Tracer, if non-nil, receives miss/prefetch/invalidate/ack events
-	// as the run executes (internal/obs). Purely observational: it
-	// changes no timing and no statistic.
-	Tracer *obs.Tracer
 	// Spans, if non-nil, receives one lifecycle record per completed
 	// memory-system transaction and per processor stall episode
 	// (internal/obs). The stamps live inside the pooled transaction
-	// records, so recording allocates nothing; like the tracer it is
-	// purely observational.
+	// records, so recording allocates nothing. Purely observational: it
+	// changes no timing and no statistic.
 	Spans *obs.SpanRecorder
 	// Timeline, if non-nil, receives a windowed snapshot of the
 	// instruments every Timeline.Window() pclocks of virtual time. The
@@ -129,9 +125,7 @@ type Machine struct {
 	// engMet holds the engine's observability instruments (metrics.go);
 	// embedding them here keeps instrumentation allocation-free.
 	engMet sim.EngineMetrics
-	// tr is the optional event tracer from Config.Tracer; sp and tl are
-	// the optional span recorder and timeline collector.
-	tr *obs.Tracer
+	// sp and tl are the optional span recorder and timeline collector.
 	sp *obs.SpanRecorder
 	tl *obs.Timeline
 	// tlFn is the cached timeline-tick closure (one per machine, so
@@ -265,7 +259,6 @@ func New(cfg Config, prog *trace.Program) (*Machine, error) {
 		Stats: stats.New(cfg.Processors),
 	}
 	m.mesh.BandwidthFactor = cfg.BandwidthFactor
-	m.tr = cfg.Tracer
 	m.sp = cfg.Spans
 	m.tl = cfg.Timeline
 	m.eng.SetMetrics(&m.engMet)
@@ -393,35 +386,32 @@ func (m *Machine) freeSLWB(n *node) {
 	}
 }
 
-// classifyMiss attributes a demand read miss at time at to cold,
-// coherence or replacement (§5.1, §5.3), mirrors the class into the
-// node's metrics and traces it. The returned span class (SpanMissCold/
-// SpanMissCoherence/SpanMissReplacement) lets the caller stamp the
-// servicing transaction's span.
-func (m *Machine) classifyMiss(n *node, b mem.Block, at sim.Time) obs.SpanClass {
+// classifyMiss attributes a demand read miss to cold, coherence or
+// replacement (§5.1, §5.3) and mirrors the class into the node's
+// metrics. The returned span class (SpanMissCold/SpanMissCoherence/
+// SpanMissReplacement) lets the caller stamp the servicing
+// transaction's span.
+func (m *Machine) classifyMiss(n *node, b mem.Block) obs.SpanClass {
 	h, _ := n.hist.Get(b)
-	var class uint8
 	switch {
 	case h&hTouched == 0:
 		n.st.ColdMisses++
 		n.met.MissCold.Inc()
-		class = obs.MissCold
+		return obs.SpanMissCold
 	case h&hInv != 0:
 		n.st.CoherenceMisses++
 		n.met.MissCoherence.Inc()
-		class = obs.MissCoherence
+		return obs.SpanMissCoherence
 	case h&hRepl != 0:
 		n.st.ReplacementMisses++
 		n.met.MissReplacement.Inc()
-		class = obs.MissReplacement
+		return obs.SpanMissReplacement
 	default:
 		// Present-history block missing without invalidation or
 		// replacement: a fill consumed while invalidated-in-flight;
 		// attribute to coherence.
 		n.st.CoherenceMisses++
 		n.met.MissCoherence.Inc()
-		class = obs.MissCoherence
+		return obs.SpanMissCoherence
 	}
-	m.trace(obs.EvMiss, n, at, uint64(b), class)
-	return obs.SpanClass(class)
 }

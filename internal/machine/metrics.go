@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"prefetchsim/internal/obs"
-	"prefetchsim/internal/sim"
 )
 
 // NodeMetrics are one node's observability instruments (internal/obs).
@@ -70,12 +69,5 @@ func (m *Machine) BindMetrics(r *obs.Registry) {
 		r.BindHistogram(p+"read.miss.stall", &n.met.ReadMissStall)
 		r.BindHistogram(p+"lock.wait", &n.met.LockWait)
 		r.BindHistogram(p+"barrier.wait", &n.met.BarrierWait)
-	}
-}
-
-// trace emits one event to the machine's tracer, when one is attached.
-func (m *Machine) trace(kind obs.EventKind, n *node, at sim.Time, b uint64, arg uint8) {
-	if m.tr != nil {
-		m.tr.Emit(kind, n.id, int64(at), b, arg)
 	}
 }

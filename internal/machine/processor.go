@@ -244,7 +244,7 @@ func (m *Machine) doRead(n *node, op trace.Op) bool {
 			// Merging with an ownership acquisition or another demand
 			// request: still a read miss.
 			n.st.ReadMisses++
-			cls := m.classifyMiss(n, b, issue)
+			cls := m.classifyMiss(n, b)
 			if m.sp != nil {
 				// The servicing transaction's span reports this miss's
 				// class (a pure write span becomes a miss span).
@@ -259,7 +259,7 @@ func (m *Machine) doRead(n *node, op trace.Op) bool {
 		return false
 	}
 	n.st.ReadMisses++
-	cls := m.classifyMiss(n, b, issue)
+	cls := m.classifyMiss(n, b)
 	if m.cfg.MissObserver != nil {
 		m.cfg.MissObserver(n.id, op.PC, addr)
 	}
@@ -323,7 +323,6 @@ func (m *Machine) emitPrefetch(n *node, pb mem.Block) {
 	}
 	n.st.PrefetchesIssued++
 	n.met.PrefIssued.Inc()
-	m.trace(obs.EvPrefetch, n, n.pfTime, uint64(pb), 0)
 	m.sendReadTx(n, pb, true, n.pfTime)
 }
 

@@ -72,8 +72,6 @@ type Manifest struct {
 	StatsDigest string `json:"stats_digest"`
 	// Metrics holds the machine-wide metric totals (Snapshot.Totals).
 	Metrics map[string]int64 `json:"metrics,omitempty"`
-	// Trace summarizes the event trace, when one was recorded.
-	Trace *TraceSummary `json:"trace,omitempty"`
 	// Spans summarizes the transaction-span recording, when one was
 	// collected (ring counters + exact per-class aggregates).
 	Spans *SpanSummary `json:"spans,omitempty"`

@@ -28,7 +28,10 @@ func sampleManifest() *Manifest {
 		VirtualTime: 987654,
 		StatsDigest: DigestStrings([]string{"a", "b"}),
 		Metrics:     map[string]int64{"node.miss.cold": 17, "engine.events": 40},
-		Trace:       &TraceSummary{Seen: 100, Kept: 64, Dropped: 36},
+		Spans: &SpanSummary{
+			Ring:    TraceSummary{Seen: 100, Kept: 64, Dropped: 36},
+			Classes: map[string]SpanClassSummary{"miss.cold": {Count: 3, TotalPclocks: 90, WaitPclocks: 60}},
+		},
 	}
 }
 

@@ -1,10 +1,10 @@
 // Package obs is the simulator's observability layer: plain-integer
 // metric instruments cheap enough to live on the hot paths, a registry
-// that binds them into one hierarchical namespace for export, a
-// ring-buffered event tracer flushed as JSONL off the hot path, and the
-// per-run manifest that makes a simulation's full provenance (config,
-// seed, toolchain, stats digest, metrics) a single machine-checkable
-// JSON document.
+// that binds them into one hierarchical namespace for export,
+// transaction spans and windowed timelines flushed as JSONL off the hot
+// path, and the per-run manifest that makes a simulation's full
+// provenance (config, seed, toolchain, stats digest, metrics) a single
+// machine-checkable JSON document.
 //
 // The design splits instrumentation from export so that observing costs
 // nothing it does not have to:

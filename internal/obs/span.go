@@ -14,11 +14,12 @@ import (
 // simulation path) and handed to a SpanRecorder exactly once, at
 // completion. The recorder aggregates every span into per-class
 // latency-breakdown statistics and keeps a sampled ring of raw spans
-// for JSONL export, mirroring the Tracer's ring/sample/flush contract.
+// for JSONL export: a full ring overwrites its oldest spans, and the
+// drop count is reported so a truncated export is never mistaken for a
+// complete one.
 
-// SpanClass classifies one completed span. The first three values
-// intentionally match the Miss* trace constants so a miss class
-// converts to a span class directly.
+// SpanClass classifies one completed span. The first three values are
+// the demand read-miss classes of §5.1 and §5.3.
 type SpanClass uint8
 
 const (
@@ -128,8 +129,8 @@ func (s *Span) Total() int64 { return s.Done - s.Issue }
 // SpanConfig configures a SpanRecorder.
 type SpanConfig struct {
 	// W receives the sampled raw spans as JSONL when Flush runs. nil
-	// discards them (aggregation still sees every span). Like the
-	// Tracer, Flush drains the ring exactly once.
+	// discards them (aggregation still sees every span). Flush drains
+	// the ring exactly once.
 	W io.Writer
 	// Cap is the raw-span ring capacity (default 1<<15). When the ring
 	// wraps, the oldest spans are overwritten.
@@ -170,6 +171,18 @@ type SpanStats struct {
 // Class returns the aggregate for c.
 func (st *SpanStats) Class(c SpanClass) *SpanClassStats { return &st.Classes[c] }
 
+// TraceSummary reports what a span ring saw and kept.
+type TraceSummary struct {
+	// Seen counts every span offered to the ring.
+	Seen uint64 `json:"seen"`
+	// Kept counts spans in the ring at flush time.
+	Kept uint64 `json:"kept"`
+	// Dropped counts sampled-in spans overwritten by ring wrap-around.
+	Dropped uint64 `json:"dropped"`
+	// Sampled counts spans discarded by 1-in-N sampling.
+	Sampled uint64 `json:"sampled"`
+}
+
 // SpanClassSummary is the JSON-stable per-class slice of a SpanStats.
 type SpanClassSummary struct {
 	Count        int64 `json:"count"`
@@ -188,8 +201,8 @@ type SpanSummary struct {
 }
 
 // SpanRecorder aggregates completed spans and retains a sampled ring
-// of raw spans for JSONL export. Single-goroutine, like the Tracer;
-// Complete allocates nothing and performs no I/O.
+// of raw spans for JSONL export. Single-goroutine, like the
+// instruments; Complete allocates nothing and performs no I/O.
 type SpanRecorder struct {
 	w       io.Writer
 	ring    []Span
@@ -255,9 +268,7 @@ func (r *SpanRecorder) ObserveIdle(pclocks int64) {
 // further Complete calls if a stable copy is needed).
 func (r *SpanRecorder) Stats() *SpanStats { return &r.stats }
 
-// Summary returns the raw-ring counters (same semantics as the
-// Tracer's: Kept spans are in the ring, Dropped were overwritten,
-// Sampled were discarded by 1-in-N sampling).
+// Summary returns the raw-ring counters.
 func (r *SpanRecorder) Summary() TraceSummary {
 	kept := r.stored
 	if max := uint64(len(r.ring)); kept > max {

@@ -64,15 +64,43 @@ func TestSpanRecorderSamplingWrap(t *testing.T) {
 	if sum.Kept+sum.Dropped+sum.Sampled != sum.Seen {
 		t.Fatalf("counters do not partition Seen: %+v", sum)
 	}
-	// Kept spans are the newest stored samples, chronological.
+	// Kept spans are the newest stored samples — sampling keeps the
+	// first of every group of three — in chronological order.
 	spans := r.Spans()
 	if len(spans) != 4 {
 		t.Fatalf("%d spans, want 4", len(spans))
 	}
-	for i := 1; i < len(spans); i++ {
-		if spans[i].Issue <= spans[i-1].Issue {
-			t.Fatalf("spans out of order: %d then %d", spans[i-1].Issue, spans[i].Issue)
+	for i, s := range spans {
+		if want := int64(3 * (30 + i) * 30); s.Issue != want {
+			t.Fatalf("span %d issued at %d, want %d", i, s.Issue, want)
 		}
+	}
+}
+
+// TestSpanRingExactCapacity: filling the ring to exactly Cap returns
+// every span in order (the boundary between the unwrapped and wrapped
+// Spans paths); one more drops the oldest. Flush with no writer is a
+// no-op.
+func TestSpanRingExactCapacity(t *testing.T) {
+	const n = 8
+	r := NewSpanRecorder(SpanConfig{Cap: n})
+	for i := 0; i <= n; i++ {
+		r.Complete(txSpan(int64(i), SpanWrite))
+		if i < n-1 {
+			continue
+		}
+		spans := r.Spans()
+		if len(spans) != n {
+			t.Fatalf("after %d spans: %d kept, want %d", i+1, len(spans), n)
+		}
+		for j, s := range spans {
+			if want := int64(i + 1 - n + j); s.Issue != want {
+				t.Fatalf("after %d spans: span %d issued at %d, want %d", i+1, j, s.Issue, want)
+			}
+		}
+	}
+	if err := r.Flush(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -139,13 +167,6 @@ func TestSpanClassNames(t *testing.T) {
 	}
 	if _, ok := ParseSpanClass("nosuchclass"); ok {
 		t.Fatal("ParseSpanClass accepted an unknown name")
-	}
-	// The first three span classes mirror the trace miss constants, so
-	// a classified miss converts to a span class by value.
-	if SpanClass(MissCold) != SpanMissCold ||
-		SpanClass(MissCoherence) != SpanMissCoherence ||
-		SpanClass(MissReplacement) != SpanMissReplacement {
-		t.Fatal("span miss classes diverge from trace miss constants")
 	}
 }
 

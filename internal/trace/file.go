@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Trace files make workloads portable: a Program can be recorded once
@@ -150,6 +151,14 @@ func ReadProgram(r io.Reader) (*Program, error) {
 				gap, err := binary.ReadUvarint(br)
 				if err != nil {
 					return nil, fmt.Errorf("trace: stream %d gap: %w", p, err)
+				}
+				// PC and Gap are 32-bit: a wider value would replay
+				// truncated, as a different program.
+				if pc > math.MaxUint32 {
+					return nil, fmt.Errorf("trace: stream %d pc %d exceeds 32 bits", p, pc)
+				}
+				if gap > math.MaxUint32 {
+					return nil, fmt.Errorf("trace: stream %d gap %d exceeds 32 bits", p, gap)
 				}
 				op.PC = PC(pc)
 				op.Addr = uint64(int64(prevAddr) + delta)

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -138,6 +139,96 @@ func TestReadProgramRejectsTruncatedStream(t *testing.T) {
 	if _, err := ReadProgram(bytes.NewReader(data[:len(data)-3])); err == nil {
 		t.Fatal("accepted truncated trace")
 	}
+}
+
+// TestReadProgramRejectsWideFields: PC and Gap are 32-bit, so a file
+// whose varint for either exceeds 32 bits is malformed and must fail
+// rather than replay a truncated value.
+func TestReadProgramRejectsWideFields(t *testing.T) {
+	// readOp encodes a one-processor file holding one Read op.
+	readOp := func(pc, gap uint64) []byte {
+		b := append([]byte(nil), fileMagic...)
+		b = binary.AppendUvarint(b, 1)
+		b = append(b, 'x')
+		b = binary.AppendUvarint(b, 1)
+		b = append(b, byte(Read))
+		b = binary.AppendUvarint(b, pc)
+		b = binary.AppendVarint(b, 64)
+		b = binary.AppendUvarint(b, gap)
+		return append(b, byte(End))
+	}
+	cases := []struct {
+		name    string
+		pc, gap uint64
+		ok      bool
+	}{
+		{"max fields", 1<<32 - 1, 1<<32 - 1, true},
+		{"wide pc", 1 << 32, 0, false},
+		{"wide gap", 0, 1 << 32, false},
+	}
+	for _, c := range cases {
+		prog, err := ReadProgram(bytes.NewReader(readOp(c.pc, c.gap)))
+		if !c.ok {
+			if err == nil {
+				t.Errorf("%s: accepted, replays as %+v", c.name, drain(prog.Streams[0]))
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		want := Op{Kind: Read, PC: PC(c.pc), Addr: 64, Gap: uint32(c.gap)}
+		if got := drain(prog.Streams[0]); len(got) != 1 || got[0] != want {
+			t.Errorf("%s: ops = %+v, want [%+v]", c.name, got, want)
+		}
+	}
+}
+
+// FuzzReadProgram feeds the decoder arbitrary bytes (plain go test
+// replays the seed corpus in testdata/fuzz). It must never panic, and
+// any input it accepts must re-encode to a file that decodes to the
+// same ops.
+func FuzzReadProgram(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		prog, err := ReadProgram(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var want [][]Op
+		for _, s := range prog.Streams {
+			want = append(want, drain(s))
+		}
+		var buf bytes.Buffer
+		if err := WriteProgram(&buf, &Program{Name: prog.Name, Streams: sliceStreams(want)}); err != nil {
+			t.Fatalf("re-encoding a decoded program: %v", err)
+		}
+		again, err := ReadProgram(&buf)
+		if err != nil {
+			t.Fatalf("decoding a re-encoded program: %v", err)
+		}
+		if again.Name != prog.Name || len(again.Streams) != len(want) {
+			t.Fatalf("header changed: %q/%d, want %q/%d", again.Name, len(again.Streams), prog.Name, len(want))
+		}
+		for i, s := range again.Streams {
+			got := drain(s)
+			if len(got) != len(want[i]) {
+				t.Fatalf("stream %d: %d ops, want %d", i, len(got), len(want[i]))
+			}
+			for j := range got {
+				if got[j] != want[i][j] {
+					t.Fatalf("stream %d op %d: %+v, want %+v", i, j, got[j], want[i][j])
+				}
+			}
+		}
+	})
+}
+
+func sliceStreams(ops [][]Op) []Stream {
+	out := make([]Stream, len(ops))
+	for i, o := range ops {
+		out[i] = NewSliceStream(o)
+	}
+	return out
 }
 
 func TestDeltaEncodingIsCompact(t *testing.T) {

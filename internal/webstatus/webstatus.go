@@ -1,7 +1,8 @@
 // Package webstatus is the HTTP status/health/telemetry surface shared
-// by every serving command: the read-only snapshot endpoint the
-// long-running CLIs (sweep, figure6, tables) expose behind their -http
-// flag, and the base cmd/prefetchd mounts its job routes on. Beyond
+// by every serving command: the read-only snapshot endpoint the batch
+// commands (figure6, tables, sweep) expose behind their shared -http
+// flag (internal/batchcli), and the base cmd/prefetchd mounts its job
+// routes on. Beyond
 // /status and /healthz, a server can opt into a Prometheus /metrics
 // exposition of an obs.Registry, a /readyz readiness probe, and the
 // net/http/pprof profiling handlers. The status handler only reads a
@@ -29,7 +30,8 @@ type Status struct {
 	// Done and Total count sweep jobs (Total 0 = unknown).
 	Done  int `json:"done"`
 	Total int `json:"total"`
-	// Rows counts result rows emitted so far.
+	// Rows counts result rows emitted so far (the batch commands
+	// report jobs done).
 	Rows int `json:"rows"`
 	// Runs counts recorded per-run manifests (including shared
 	// baselines), when a ManifestRecorder is attached.
@@ -59,12 +61,11 @@ type JobSpanAgg struct {
 	TotalUS int64 `json:"total_us"`
 }
 
-// Progress is a tiny atomic (done, total, rows) tracker the CLIs bump
-// from their Progress/OnRow callbacks and the server reads.
+// Progress is a tiny atomic (done, total) tracker a command bumps from
+// its sweep's Progress callback and the server reads.
 type Progress struct {
 	done  atomic.Int64
 	total atomic.Int64
-	rows  atomic.Int64
 }
 
 // Set records the latest (done, total) progress callback.
@@ -73,12 +74,9 @@ func (p *Progress) Set(done, total int) {
 	p.total.Store(int64(total))
 }
 
-// Row records one emitted result row.
-func (p *Progress) Row() { p.rows.Add(1) }
-
 // Snapshot reads the current counters.
-func (p *Progress) Snapshot() (done, total, rows int) {
-	return int(p.done.Load()), int(p.total.Load()), int(p.rows.Load())
+func (p *Progress) Snapshot() (done, total int) {
+	return int(p.done.Load()), int(p.total.Load())
 }
 
 // Server is a running status endpoint.
@@ -93,23 +91,15 @@ type Server struct {
 // safe for concurrent use. Routes: "/" and "/status" return the JSON
 // snapshot, "/healthz" returns 200 ok.
 func Serve(addr string, fn func() Status) (*Server, error) {
-	return ServeMux(addr, fn, nil)
-}
-
-// ServeMux is Serve with extra routes: before the listener starts,
-// register is called with the server's mux so a command can mount its
-// own handlers (cmd/prefetchd adds its /jobs API) next to the shared
-// "/status" and "/healthz" surface. register may be nil. The snapshot
-// handler also serves "/" unless register claimed a pattern that
-// shadows it.
-func ServeMux(addr string, fn func() Status, register func(mux *http.ServeMux)) (*Server, error) {
-	return ServeOpts(addr, fn, Options{Register: register})
+	return ServeOpts(addr, fn, Options{})
 }
 
 // Options selects the optional surfaces of a status server.
 type Options struct {
 	// Register mounts extra routes on the server's mux before the
-	// listener starts (cmd/prefetchd adds its /jobs API).
+	// listener starts (cmd/prefetchd adds its /jobs API). The snapshot
+	// handler also serves "/" unless Register claims a pattern that
+	// shadows it.
 	Register func(mux *http.ServeMux)
 	// Metrics, when non-nil, serves the registry's Prometheus text
 	// exposition at /metrics.

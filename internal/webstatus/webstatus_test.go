@@ -16,12 +16,10 @@ import (
 func TestServeStatus(t *testing.T) {
 	var prog Progress
 	prog.Set(3, 10)
-	prog.Row()
-	prog.Row()
 	srv, err := Serve("127.0.0.1:0", func() Status {
-		done, total, rows := prog.Snapshot()
+		done, total := prog.Snapshot()
 		return Status{
-			Tool: "test", Done: done, Total: total, Rows: rows,
+			Tool: "test", Done: done, Total: total, Rows: 2,
 			Runs: 5, Metrics: map[string]int64{"engine.events": 42},
 		}
 	})
@@ -72,16 +70,17 @@ func TestServeStatus(t *testing.T) {
 	}
 }
 
-// TestServeMuxExtraRoutes: a command can mount its own handlers next
-// to the shared surface, and the built-in routes keep working.
+// TestServeMuxExtraRoutes: a command can mount its own handlers on the
+// server's mux next to the shared surface, and the built-in routes keep
+// working.
 func TestServeMuxExtraRoutes(t *testing.T) {
-	srv, err := ServeMux("127.0.0.1:0", func() Status {
+	srv, err := ServeOpts("127.0.0.1:0", func() Status {
 		return Status{Tool: "extended"}
-	}, func(mux *http.ServeMux) {
+	}, Options{Register: func(mux *http.ServeMux) {
 		mux.HandleFunc("/jobs", func(w http.ResponseWriter, r *http.Request) {
 			io.WriteString(w, "job list")
 		})
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,8 +186,8 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 func TestProgressConcurrent(t *testing.T) {
 	var prog Progress
 	srv, err := Serve("127.0.0.1:0", func() Status {
-		done, total, rows := prog.Snapshot()
-		return Status{Done: done, Total: total, Rows: rows}
+		done, total := prog.Snapshot()
+		return Status{Done: done, Total: total, Rows: done}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +201,6 @@ func TestProgressConcurrent(t *testing.T) {
 		defer wg.Done()
 		for i := 1; i <= n; i++ {
 			prog.Set(i, n)
-			prog.Row()
 		}
 	}()
 	go func() {
@@ -219,9 +217,9 @@ func TestProgressConcurrent(t *testing.T) {
 	}()
 	wg.Wait()
 
-	done, total, rows := prog.Snapshot()
-	if done != n || total != n || rows != n {
-		t.Fatalf("final snapshot = %d/%d/%d, want %d/%d/%d", done, total, rows, n, n, n)
+	done, total := prog.Snapshot()
+	if done != n || total != n {
+		t.Fatalf("final snapshot = %d/%d, want %d/%d", done, total, n, n)
 	}
 }
 

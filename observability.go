@@ -9,8 +9,8 @@ import (
 	"prefetchsim/internal/obs"
 )
 
-// Observability re-exports (internal/obs): metric snapshots, event
-// tracing and per-run provenance manifests. Collection is opt-in per
+// Observability re-exports (internal/obs): metric snapshots,
+// transaction spans, timelines and per-run provenance manifests. Collection is opt-in per
 // Config; the simulation's instruments themselves are always on and
 // allocation-free.
 type (
@@ -19,9 +19,7 @@ type (
 	MetricsSnapshot = obs.Snapshot
 	// MetricSample is one named value of a MetricsSnapshot.
 	MetricSample = obs.Sample
-	// TraceConfig configures event tracing for one run.
-	TraceConfig = obs.TraceConfig
-	// TraceSummary reports what a run's tracer saw and kept.
+	// TraceSummary reports what a run's span ring saw and kept.
 	TraceSummary = obs.TraceSummary
 	// Manifest is the provenance record of one run.
 	Manifest = obs.Manifest
@@ -149,7 +147,8 @@ func (c Config) runConfig(app string) RunConfig {
 // NewManifest builds the provenance record of a completed run: the
 // effective configuration, toolchain and source revision, wall and
 // virtual time, the canonical stats digest, and — when the run
-// collected them — machine-wide metric totals and the trace summary.
+// collected them — machine-wide metric totals and the span and timeline
+// summaries.
 func NewManifest(cfg Config, res *Result, wall time.Duration) *Manifest {
 	cfg = cfg.withDefaults()
 	// Config.App is the reproducible identifier; a custom Program has
@@ -169,7 +168,6 @@ func NewManifest(cfg Config, res *Result, wall time.Duration) *Manifest {
 		WallNS:        wall.Nanoseconds(),
 		VirtualTime:   int64(res.Stats.ExecTime),
 		StatsDigest:   StatsDigest(res.Stats),
-		Trace:         res.TraceStats,
 	}
 	if len(res.Metrics) > 0 {
 		m.Metrics = res.Metrics.Totals()

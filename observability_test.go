@@ -1,7 +1,7 @@
 package prefetchsim
 
-// Tests for the observability layer's root-package contracts: tracing
-// must never perturb simulation results, metric totals must agree with
+// Tests for the observability layer's root-package contracts: spans
+// and timelines must never perturb simulation results, metric totals must agree with
 // the statistics they mirror, manifests must survive a disk round
 // trip, and a parallel sweep's manifest recorder must be race-clean
 // while being read live.
@@ -22,46 +22,6 @@ import (
 // 4 processors, the golden-test machine.
 func obsConfig(scheme Scheme) Config {
 	return Config{App: "matmul", Scheme: scheme, Processors: 4, Seed: 12345}
-}
-
-// TestTraceDifferential is the acceptance check that tracing is purely
-// observational: a run with a tracer attached produces byte-identical
-// statistics to the same run without one.
-func TestTraceDifferential(t *testing.T) {
-	plain, err := Run(obsConfig(Seq))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var buf bytes.Buffer
-	cfg := obsConfig(Seq)
-	cfg.Trace = &TraceConfig{W: &buf}
-	traced, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if got, want := StatsDigest(traced.Stats), StatsDigest(plain.Stats); got != want {
-		t.Fatalf("tracing changed the stats digest: %s != %s", got, want)
-	}
-	if !reflect.DeepEqual(traced.Stats, plain.Stats) {
-		t.Fatal("tracing changed the statistics")
-	}
-
-	sum := traced.TraceStats
-	if sum == nil || sum.Seen == 0 {
-		t.Fatalf("trace summary = %+v, want events", sum)
-	}
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if uint64(len(lines)) != sum.Kept {
-		t.Fatalf("flushed %d JSONL lines, summary says kept %d", len(lines), sum.Kept)
-	}
-	for i, l := range lines[:min(len(lines), 3)] {
-		var ev map[string]any
-		if err := json.Unmarshal([]byte(l), &ev); err != nil {
-			t.Fatalf("trace line %d not JSON: %v (%s)", i, err, l)
-		}
-	}
 }
 
 // TestMetricsMatchStats pins the metric instruments to the statistics
@@ -302,14 +262,14 @@ func TestTimelineMatchesTotals(t *testing.T) {
 func TestManifestRoundTripFromRun(t *testing.T) {
 	cfg := obsConfig(DDet)
 	cfg.CollectMetrics = true
-	cfg.Trace = &TraceConfig{Cap: 1 << 10, Sample: 4}
+	cfg.Spans = &SpanConfig{Cap: 1 << 10, Sample: 4}
 	start := time.Now()
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := NewManifest(cfg, res, time.Since(start))
-	if m.VirtualTime == 0 || m.StatsDigest == "" || len(m.Metrics) == 0 || m.Trace == nil {
+	if m.VirtualTime == 0 || m.StatsDigest == "" || len(m.Metrics) == 0 || m.Spans == nil {
 		t.Fatalf("manifest incomplete: %+v", m)
 	}
 	if m.Config.App != "matmul" || m.Config.Scheme != string(DDet) ||
@@ -340,8 +300,8 @@ func TestSweepManifestRecorder(t *testing.T) {
 	var rowsSeen int
 	o := ExpOptions{
 		Procs: 4, Apps: []string{"matmul"}, Seed: 12345, Workers: 2,
-		Record: rec,
-		OnRow:  func(done, total int, row fmt.Stringer) { rowsSeen++ },
+		Record:       rec,
+		OnRowIndexed: func(i, total int, row fmt.Stringer) { rowsSeen++ },
 	}
 
 	stop := make(chan struct{})

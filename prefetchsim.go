@@ -214,11 +214,6 @@ type Config struct {
 	// instrument (engine dispatch counters, per-node miss taxonomy,
 	// prefetch effectiveness, stall histograms) to the result.
 	CollectMetrics bool
-	// Trace, when non-nil, records a ring-buffered event trace
-	// (misses, prefetches, invalidations, acks); the summary is
-	// attached to the result and the JSONL flushes to Trace.W. Purely
-	// observational: results are byte-identical with or without it.
-	Trace *TraceConfig
 	// Spans, when non-nil, records one lifecycle span per memory-system
 	// transaction and stall episode (issue → network → directory →
 	// service → reply → fill, with per-hop virtual-time stamps). Exact
@@ -266,8 +261,6 @@ type Result struct {
 	// Metrics is the name-sorted instrument snapshot when
 	// Config.CollectMetrics was set.
 	Metrics MetricsSnapshot
-	// TraceStats summarizes the event trace when Config.Trace was set.
-	TraceStats *TraceSummary
 	// Spans holds the exact per-class span aggregates when Config.Spans
 	// was set; SpanTrace summarizes the sampled raw-span ring.
 	Spans     *SpanStats
@@ -350,11 +343,6 @@ func Run(cfg Config) (*Result, error) {
 		mcfg.MissObserver = col.Observe
 	}
 
-	var tr *obs.Tracer
-	if cfg.Trace != nil {
-		tr = obs.NewTracer(*cfg.Trace)
-		mcfg.Tracer = tr
-	}
 	var sp *obs.SpanRecorder
 	if cfg.Spans != nil {
 		sp = obs.NewSpanRecorder(*cfg.Spans)
@@ -388,13 +376,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 	if reg != nil {
 		res.Metrics = reg.Snapshot()
-	}
-	if tr != nil {
-		if err := tr.Flush(); err != nil {
-			return nil, err
-		}
-		s := tr.Summary()
-		res.TraceStats = &s
 	}
 	if sp != nil {
 		if err := sp.Flush(); err != nil {
