@@ -310,8 +310,8 @@ func (m *Machine) Run() (*stats.Machine, error) {
 		m.tlFn = func() { m.timelineTick() }
 		m.eng.At(sim.Time(m.tl.Window()), m.tlFn)
 	}
-	ran := m.eng.Run(m.cfg.MaxEvents)
-	if m.cfg.MaxEvents > 0 && ran >= m.cfg.MaxEvents {
+	m.eng.Run(m.cfg.MaxEvents)
+	if m.eng.Pending() > 0 {
 		return nil, fmt.Errorf("machine: exceeded %d events; likely livelock", m.cfg.MaxEvents)
 	}
 	for _, n := range m.nodes {

@@ -7,6 +7,7 @@ import (
 	"prefetchsim/internal/cache"
 	"prefetchsim/internal/coherence"
 	"prefetchsim/internal/mem"
+	"prefetchsim/internal/obs"
 	"prefetchsim/internal/prefetch"
 	"prefetchsim/internal/trace"
 )
@@ -402,6 +403,40 @@ func TestMaxEventsAborts(t *testing.T) {
 	}
 	if _, err := m.Run(); err == nil {
 		t.Fatal("MaxEvents did not abort")
+	}
+}
+
+// TestMaxEventsExactBudget pins the limit's boundary: a run that
+// finishes in exactly MaxEvents events succeeds, and one event fewer
+// aborts.
+func TestMaxEventsExactBudget(t *testing.T) {
+	p := func() *trace.Program { return prog(seqReads(1, 1, 1, 0), seqReads(2, 2, 1, 3)) }
+	m, err := New(cfgN(2), p())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	m.BindMetrics(reg)
+	if _, err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	n, _ := reg.Snapshot().Get("engine.events")
+	if n < 2 {
+		t.Fatalf("engine.events = %d, want a multi-event run", n)
+	}
+	for _, tc := range []struct {
+		max     int64
+		wantErr bool
+	}{{n, false}, {n - 1, true}} {
+		cfg := cfgN(2)
+		cfg.MaxEvents = tc.max
+		m, err := New(cfg, p())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Run(); (err != nil) != tc.wantErr {
+			t.Errorf("MaxEvents = %d of a %d-event run: error %v, want error: %v", tc.max, n, err, tc.wantErr)
+		}
 	}
 }
 

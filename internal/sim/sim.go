@@ -5,15 +5,29 @@
 // (time, insertion sequence) so that simulations are reproducible
 // run-to-run regardless of map iteration order or scheduling.
 //
-// The queue is a hand-rolled 4-ary min-heap over plain event structs:
-// no container/heap, no interface{} boxing on push or pop, and popped
-// slots are zeroed so the backing array never retains dead callbacks.
+// The queue is a timing wheel of wheelSize one-pclock buckets plus an
+// overflow heap. An event due less than wheelSize pclocks ahead goes
+// into the bucket for its time; each bucket is a FIFO of slots linked
+// through one pooled slot array, and an occupancy bitmap finds the
+// next non-empty bucket with one TrailingZeros64 per 64 buckets. The
+// rare event due further ahead goes into a hand-rolled 4-ary min-heap
+// (no container/heap, no interface{} boxing). Since every wheel event
+// lies in [now, now+wheelSize), a bucket only ever holds one timestamp,
+// and FIFO order within it is insertion order; pop compares the bucket
+// head with the heap root by (time, seq), so dispatch follows exactly
+// the (time, seq) total order. Vacated slots, in the pool and in the
+// heap, are zeroed so nothing retains a dead callback.
+//
 // High-frequency schedulers avoid the per-event closure allocation of
 // At/After entirely by implementing Handler on a pooled object and
 // scheduling it with Schedule (see internal/machine's event pool).
 package sim
 
-import "prefetchsim/internal/obs"
+import (
+	"math/bits"
+
+	"prefetchsim/internal/obs"
+)
 
 // Time is a point in simulated time, in pclocks.
 type Time int64
@@ -25,8 +39,9 @@ type Time int64
 type EngineMetrics struct {
 	// Events counts dispatched events.
 	Events obs.Counter
-	// Queue tracks the pending-event queue depth, sampled at each
-	// dispatch; its high-water mark bounds the heap's working set.
+	// Queue tracks the pending-event queue depth (wheel plus
+	// overflow), sampled at each dispatch; its high-water mark bounds
+	// the queue's working set.
 	Queue obs.Gauge
 }
 
@@ -39,16 +54,20 @@ type Handler interface {
 	Fire(t Time)
 }
 
-// event is one queue slot. Exactly one of fn and h is set.
+// event is one queue slot. Exactly one of fn and h is set on a pending
+// event. next links a wheel slot to the next one in its bucket, or a
+// free slot to the next free one (0 ends a list); the overflow heap
+// leaves it 0.
 type event struct {
-	at  Time
-	seq uint64
-	fn  func()
-	h   Handler
+	at   Time
+	seq  uint64
+	fn   func()
+	h    Handler
+	next int32
 }
 
 // before is the total order (time, insertion sequence); seq is unique,
-// so two events never compare equal and any correct heap pops them in
+// so two events never compare equal and any correct queue pops them in
 // the same deterministic order.
 func (a *event) before(b *event) bool {
 	if a.at != b.at {
@@ -61,17 +80,43 @@ func (a *event) before(b *event) bool {
 // queue: no pending event can bound a component's local progress.
 const maxTime = Time(1<<63 - 1)
 
+const (
+	// wheelSize is the wheel's span in one-pclock buckets, a power of
+	// two. Nearly every event of the paper's machine is due within 128
+	// pclocks (a remote miss's hops, a bus or bank hold), so the
+	// overflow heap sees a small fraction of a percent of events.
+	wheelSize  = 256
+	wheelMask  = wheelSize - 1
+	wheelWords = wheelSize / 64
+)
+
+// bucket is the FIFO of one wheel time: head and tail index the slot
+// pool. It is meaningful only while its occupancy bit is set.
+type bucket struct{ head, tail int32 }
+
 // Engine is a deterministic event-driven simulator. The zero value is
 // ready to use.
 type Engine struct {
-	queue []event // 4-ary min-heap
-	now   Time
-	seq   uint64
-	// horizon caches queue[0].at, maintained on every push and pop, so
-	// the per-op causality check in the processor's fused hot loop is a
-	// plain field read instead of a heap peek. Only meaningful while the
-	// queue is non-empty.
+	now Time
+	seq uint64
+	// n counts pending events, wheel and overflow together.
+	n int
+	// horizon is the earliest pending time, maintained on every push
+	// and pop, so the per-op causality check in the processor's fused
+	// hot loop is a plain field read instead of a queue peek. Only
+	// meaningful while n > 0.
 	horizon Time
+
+	wheel [wheelSize]bucket
+	occ   [wheelWords]uint64 // bit i set: wheel[i] is non-empty
+	// slots is the wheel's slot pool; slots[0] is never used, so index
+	// 0 can end a list. free heads the list of vacated slots.
+	slots []event
+	free  int32
+	// over is the 4-ary min-heap of events due wheelSize or more
+	// pclocks after the time they were scheduled.
+	over []event
+
 	// met, when non-nil, receives per-dispatch observability updates.
 	met *EngineMetrics
 }
@@ -110,12 +155,96 @@ func (e *Engine) Schedule(t Time, h Handler) {
 	e.push(event{at: t, seq: e.seq, h: h})
 }
 
-// push appends ev and sifts it up the 4-ary heap.
+// push queues ev: at the tail of its wheel bucket when it is due within
+// the wheel's span, in the overflow heap otherwise.
 func (e *Engine) push(ev event) {
-	if len(e.queue) == 0 || ev.at < e.horizon {
+	if e.n == 0 || ev.at < e.horizon {
 		e.horizon = ev.at
 	}
-	q := append(e.queue, ev)
+	e.n++
+	if ev.at-e.now >= wheelSize {
+		e.pushOverflow(ev)
+		return
+	}
+	i := e.free
+	if i != 0 {
+		e.free = e.slots[i].next
+	} else {
+		if len(e.slots) == 0 {
+			e.slots = append(e.slots, event{})
+		}
+		i = int32(len(e.slots))
+		e.slots = append(e.slots, event{})
+	}
+	e.slots[i] = ev
+	k := int(ev.at) & wheelMask
+	b := &e.wheel[k]
+	if bit := uint64(1) << (k & 63); e.occ[k>>6]&bit == 0 {
+		e.occ[k>>6] |= bit
+		b.head = i
+	} else {
+		e.slots[b.tail].next = i
+	}
+	b.tail = i
+}
+
+// pop removes and returns the earliest event; the queue must not be
+// empty. The bucket of the horizon time, when occupied, holds events at
+// exactly that time (every wheel event lies in [now, now+wheelSize) and
+// none precedes the horizon), so its head competes only with the
+// overflow root.
+func (e *Engine) pop() event {
+	t := e.horizon
+	k := int(t) & wheelMask
+	bit := uint64(1) << (k & 63)
+	e.n--
+	var ev event
+	if b := &e.wheel[k]; e.occ[k>>6]&bit != 0 &&
+		(len(e.over) == 0 || e.slots[b.head].before(&e.over[0])) {
+		i := b.head
+		s := &e.slots[i]
+		ev = *s
+		*s = event{next: e.free}
+		e.free = i
+		if ev.next != 0 {
+			b.head = ev.next
+			return ev // more events at t: the horizon stands
+		}
+		e.occ[k>>6] &^= bit
+	} else {
+		ev = e.popOverflow()
+	}
+	e.horizon = maxTime
+	if e.n > len(e.over) {
+		e.horizon = e.nextWheel(t)
+	}
+	if len(e.over) > 0 && e.over[0].at < e.horizon {
+		e.horizon = e.over[0].at
+	}
+	return ev
+}
+
+// nextWheel returns the time of the earliest wheel event, which must
+// exist and, like every wheel event, lie in [t, t+wheelSize): the first
+// occupied bucket at or after t's, circularly.
+func (e *Engine) nextWheel(t Time) Time {
+	k := int(t) & wheelMask
+	w := k >> 6
+	if m := e.occ[w] >> (k & 63); m != 0 {
+		return t + Time(bits.TrailingZeros64(m))
+	}
+	for j := 1; j <= wheelWords; j++ {
+		w := (w + j) & (wheelWords - 1)
+		if m := e.occ[w]; m != 0 {
+			return t + Time((w<<6+bits.TrailingZeros64(m)-k)&wheelMask)
+		}
+	}
+	panic("sim: wheel count and occupancy bitmap disagree")
+}
+
+// pushOverflow appends ev and sifts it up the 4-ary heap.
+func (e *Engine) pushOverflow(ev event) {
+	q := append(e.over, ev)
 	i := len(q) - 1
 	for i > 0 {
 		p := (i - 1) >> 2
@@ -126,20 +255,20 @@ func (e *Engine) push(ev event) {
 		i = p
 	}
 	q[i] = ev
-	e.queue = q
+	e.over = q
 }
 
-// pop removes and returns the minimum event. The vacated tail slot is
-// zeroed so the backing array does not keep the callback (and whatever
-// it captures) alive.
-func (e *Engine) pop() event {
-	q := e.queue
+// popOverflow removes and returns the heap's minimum event. The vacated
+// tail slot is zeroed so the backing array does not keep the callback
+// (and whatever it captures) alive.
+func (e *Engine) popOverflow() event {
+	q := e.over
 	root := q[0]
 	n := len(q) - 1
 	last := q[n]
 	q[n] = event{}
 	q = q[:n]
-	e.queue = q
+	e.over = q
 
 	// Sift last down from the root.
 	i := 0
@@ -166,19 +295,18 @@ func (e *Engine) pop() event {
 	}
 	if n > 0 {
 		q[i] = last
-		e.horizon = q[0].at
 	}
 	return root
 }
 
 // Pending reports the number of queued events.
-func (e *Engine) Pending() int { return len(e.queue) }
+func (e *Engine) Pending() int { return e.n }
 
 // NextTime returns the time of the earliest pending event and true, or
 // (0, false) if the queue is empty. Components use this to bound how far
 // they may batch-advance local state without violating causality.
 func (e *Engine) NextTime() (Time, bool) {
-	if len(e.queue) == 0 {
+	if e.n == 0 {
 		return 0, false
 	}
 	return e.horizon, true
@@ -193,7 +321,7 @@ func (e *Engine) NextTime() (Time, bool) {
 // fire, so within one event callback it can be read once and reused for
 // a whole run of ops as long as the callback schedules nothing.
 func (e *Engine) Horizon() Time {
-	if len(e.queue) == 0 {
+	if e.n == 0 {
 		return maxTime
 	}
 	return e.horizon
@@ -201,12 +329,12 @@ func (e *Engine) Horizon() Time {
 
 // Step runs the earliest event. It reports whether an event ran.
 func (e *Engine) Step() bool {
-	if len(e.queue) == 0 {
+	if e.n == 0 {
 		return false
 	}
 	if e.met != nil {
 		e.met.Events.Inc()
-		e.met.Queue.Set(int64(len(e.queue)))
+		e.met.Queue.Set(int64(e.n))
 	}
 	ev := e.pop()
 	e.now = ev.at

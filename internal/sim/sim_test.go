@@ -194,8 +194,8 @@ func TestRandIntnPanicsOnNonPositive(t *testing.T) {
 }
 
 // refHeap is a container/heap reference implementation of the event
-// queue, kept test-only: the production 4-ary heap must pop in exactly
-// the order this one does for any operation sequence.
+// queue, kept test-only: the production wheel-plus-overflow queue must
+// pop in exactly the order this one does for any operation sequence.
 type refEvent struct {
 	at  Time
 	seq uint64
@@ -226,45 +226,92 @@ type idHandler struct{ f func() }
 
 func (h idHandler) Fire(Time) { h.f() }
 
+// mixedDelta draws a scheduling delta that exercises every queue path:
+// now+0, short wheel deltas, both sides of the wheel's span, and
+// overflow deltas several wheel revolutions out.
+func mixedDelta(rng *Rand) Time {
+	switch rng.Intn(6) {
+	case 0:
+		return 0
+	case 1, 2:
+		return Time(rng.Intn(64))
+	case 3:
+		return wheelSize - 2 + Time(rng.Intn(4))
+	case 4:
+		return Time(rng.Intn(wheelSize))
+	default:
+		return Time(rng.Intn(5 * wheelSize))
+	}
+}
+
 // TestEngineMatchesContainerHeap drives the engine with a randomized
-// schedule — duplicate times, events scheduling further events while
-// running, a mix of the closure (At) and pooled-handler (Schedule)
-// forms — and asserts the execution order matches a container/heap
-// reference fed the same (time, seq) pairs. Because an engine may never
-// schedule into the past, its execution order must equal the global
-// (time, seq) sort of every event ever scheduled, which is exactly what
-// draining the reference heap at the end yields.
+// schedule — duplicate times, deltas spanning several wheel
+// revolutions, events scheduling further events (at now+0 among
+// others) from inside Fire, wheel events landing on the exact time of
+// an overflow event, and a mix of the closure (At) and pooled-handler
+// (Schedule) forms — and asserts the execution order matches a
+// container/heap reference fed the same (time, seq) pairs. Because an
+// engine may never schedule into the past, its execution order must
+// equal the global (time, seq) sort of every event ever scheduled,
+// which is exactly what draining the reference heap at the end yields.
 func TestEngineMatchesContainerHeap(t *testing.T) {
 	rng := NewRand(20260806)
+	var ties, zeroInFire, overflowed int
 	for trial := 0; trial < 25; trial++ {
 		var e Engine
 		ref := &refHeap{}
 		var got []int
 		id := 0
 		var seq uint64
+		// farTimes remembers overflow times so later wheel events can
+		// be scheduled at exactly the same time.
+		var farTimes []Time
+		extra := 400
 
-		schedule := func(at Time) {
+		var schedule func(at Time)
+		fire := func(ev int) {
+			got = append(got, ev)
+			for extra > 0 && rng.Intn(3) == 0 {
+				extra--
+				if rng.Intn(4) == 0 && len(farTimes) > 0 {
+					at := farTimes[rng.Intn(len(farTimes))]
+					if at >= e.Now() && at-e.Now() < wheelSize {
+						ties++
+						schedule(at)
+						continue
+					}
+				}
+				d := mixedDelta(rng)
+				if d == 0 {
+					zeroInFire++
+				}
+				schedule(e.Now() + d)
+			}
+		}
+		schedule = func(at Time) {
 			id++
 			ev := id
 			seq++
 			heap.Push(ref, refEvent{at: at, seq: seq, id: ev})
+			if at-e.Now() >= wheelSize {
+				overflowed++
+				farTimes = append(farTimes, at)
+			}
 			if ev%2 == 0 {
-				e.At(at, func() { got = append(got, ev) })
+				e.At(at, func() { fire(ev) })
 			} else {
-				e.Schedule(at, idHandler{f: func() { got = append(got, ev) }})
+				e.Schedule(at, idHandler{f: func() { fire(ev) }})
 			}
 		}
 
 		for i := 0; i < 300; i++ {
-			schedule(Time(rng.Intn(60)))
+			schedule(Time(rng.Intn(3 * wheelSize)))
 		}
-		extra := 150
 		for e.Step() {
-			// Occasionally schedule more from inside the run, at or
-			// after the current time.
-			for extra > 0 && rng.Intn(3) == 0 {
+			// Occasionally schedule more between events too.
+			if extra > 0 && rng.Intn(5) == 0 {
 				extra--
-				schedule(e.Now() + Time(rng.Intn(25)))
+				schedule(e.Now() + mixedDelta(rng))
 			}
 		}
 
@@ -282,23 +329,71 @@ func TestEngineMatchesContainerHeap(t *testing.T) {
 			}
 		}
 	}
+	if ties == 0 || zeroInFire == 0 || overflowed == 0 {
+		t.Fatalf("schedule missed a queue path: %d wheel/overflow ties, %d now+0 events from Fire, %d overflow events",
+			ties, zeroInFire, overflowed)
+	}
+}
+
+// queueEvents lists every pending event, wheel buckets then overflow,
+// by walking the engine's storage directly.
+func queueEvents(e *Engine) []event {
+	var evs []event
+	for k := range e.wheel {
+		if e.occ[k>>6]&(1<<(k&63)) == 0 {
+			continue
+		}
+		for i := e.wheel[k].head; i != 0; i = e.slots[i].next {
+			evs = append(evs, e.slots[i])
+		}
+	}
+	return append(evs, e.over...)
+}
+
+// checkReleased fails if any vacated slot — a free wheel slot, slot 0,
+// or the overflow heap's spare capacity — still holds a callback.
+func checkReleased(t *testing.T, e *Engine, step string) {
+	t.Helper()
+	free := map[int32]bool{0: true}
+	for i := e.free; i != 0; i = e.slots[i].next {
+		free[i] = true
+	}
+	inWheel := len(queueEvents(e)) - len(e.over)
+	if len(e.slots) > 0 && len(free)+inWheel != len(e.slots) {
+		t.Fatalf("%s: %d slots, %d free, %d pending in the wheel: a slot leaked",
+			step, len(e.slots), len(free), inWheel)
+	}
+	for i := range e.slots {
+		if s := &e.slots[i]; free[int32(i)] && (s.fn != nil || s.h != nil) {
+			t.Fatalf("%s: free wheel slot %d retains a callback", step, i)
+		}
+	}
+	spare := e.over[len(e.over):cap(e.over)]
+	for i := range spare {
+		if spare[i].fn != nil || spare[i].h != nil {
+			t.Fatalf("%s: vacated overflow slot %d retains a callback", step, len(e.over)+i)
+		}
+	}
 }
 
 // TestEnginePopReleasesSlot pins the fix for the old eventHeap.Pop
-// memory retention: after an event runs, the vacated backing-array slot
-// must not keep the callback alive.
+// memory retention: after an event runs, neither its wheel slot nor
+// its overflow-heap slot may keep the callback alive, mid-run or after
+// the queue drains.
 func TestEnginePopReleasesSlot(t *testing.T) {
 	var e Engine
-	for i := 0; i < 8; i++ {
-		e.At(Time(i), func() {})
+	rng := NewRand(7)
+	for i := 0; i < 64; i++ {
+		e.At(mixedDelta(rng), func() {})
+		e.Schedule(mixedDelta(rng), idHandler{f: func() {}})
 	}
-	e.Run(0)
-	q := e.queue[:cap(e.queue)]
-	for i := range q {
-		if q[i].fn != nil || q[i].h != nil {
-			t.Fatalf("backing array slot %d retains a callback after pop", i)
-		}
+	if len(e.over) == 0 || len(e.slots) == 0 {
+		t.Fatalf("schedule filled %d wheel slots and %d overflow slots, want both", len(e.slots), len(e.over))
 	}
+	for e.Step() {
+		checkReleased(t, &e, "mid-run")
+	}
+	checkReleased(t, &e, "drained")
 }
 
 // TestScheduleHandlerInterleavesWithAt verifies At and Schedule share
@@ -339,23 +434,19 @@ func TestSchedulePanicsOnPastEvent(t *testing.T) {
 }
 
 // TestEngineHorizonTracksQueueMin drives a random schedule/fire
-// sequence and asserts the cached horizon equals the true queue minimum
+// sequence over wheel and overflow events and asserts the cached
+// horizon equals the true queue minimum, and Pending the true count,
 // after every mutation — the invariant the machine's fused batch loop
-// relies on instead of peeking the heap per op — and that an empty
+// relies on instead of peeking the queue per op — and that an empty
 // queue reports the far-future sentinel.
 func TestEngineHorizonTracksQueueMin(t *testing.T) {
-	queueMin := func(e *Engine) Time {
-		min := maxTime
-		for i := range e.queue {
-			if e.queue[i].at < min {
-				min = e.queue[i].at
-			}
-		}
-		return min
-	}
 	check := func(e *Engine, step string) {
 		t.Helper()
-		if len(e.queue) == 0 {
+		evs := queueEvents(e)
+		if e.Pending() != len(evs) {
+			t.Fatalf("%s: Pending = %d, queue holds %d", step, e.Pending(), len(evs))
+		}
+		if len(evs) == 0 {
 			if e.Horizon() != maxTime {
 				t.Fatalf("%s: empty queue, Horizon = %d, want maxTime", step, e.Horizon())
 			}
@@ -364,7 +455,12 @@ func TestEngineHorizonTracksQueueMin(t *testing.T) {
 			}
 			return
 		}
-		want := queueMin(e)
+		want := maxTime
+		for _, ev := range evs {
+			if ev.at < want {
+				want = ev.at
+			}
+		}
 		if e.Horizon() != want {
 			t.Fatalf("%s: Horizon = %d, queue min = %d", step, e.Horizon(), want)
 		}
@@ -379,9 +475,8 @@ func TestEngineHorizonTracksQueueMin(t *testing.T) {
 		check(&e, "fresh engine")
 		for i := 0; i < 400; i++ {
 			switch {
-			case len(e.queue) == 0 || rng.Intn(3) > 0:
-				at := e.Now() + Time(rng.Intn(50))
-				e.At(at, func() {})
+			case e.Pending() == 0 || rng.Intn(3) > 0:
+				e.At(e.Now()+mixedDelta(rng), func() {})
 				check(&e, "after schedule")
 			default:
 				e.Step()
