@@ -52,8 +52,8 @@ func TestRefInsertsZero(t *testing.T) {
 
 // TestCrossCheckStdlibMap drives a Table and a stdlib map with the same
 // randomized operation sequence — inserts, overwrites, deletes,
-// re-inserts after deletion — over key ranges both narrow (forcing long
-// probe chains and wraparound at the table boundary) and full-width,
+// re-inserts after deletion — over key ranges both narrow (one or a
+// few leaves, constant reuse) and full-width (a large, sparse page index),
 // and asserts every lookup and final state agree.
 func TestCrossCheckStdlibMap(t *testing.T) {
 	rng := sim.NewRand(0xb10c)
@@ -103,58 +103,113 @@ func TestCrossCheckStdlibMap(t *testing.T) {
 	}
 }
 
-// TestDeleteReinsertAroundWrap forces a probe chain that wraps the end
-// of the backing array, deletes in the middle of it, and verifies the
-// chain stays reachable (the backward-shift must treat indices
-// cyclically).
-func TestDeleteReinsertAroundWrap(t *testing.T) {
+// TestLeafBoundariesAndHugeKeys places keys on both sides of leaf
+// boundaries, in page 0 and in the last page of the key space, and
+// checks each reads back and deletes independently of its neighbours.
+func TestLeafBoundariesAndHugeKeys(t *testing.T) {
+	top := ^mem.Block(0)
+	keys := []mem.Block{
+		0, 1, 63, 64, 127, 128, 129, 255, 256,
+		1<<40 - 1, 1 << 40,
+		top - 128, top - 127, top - 64, top - 1, top,
+	}
 	var tb Table[int]
-	tb.Reserve(8) // 16 slots
-	// Find keys that hash to the last slot so their chains wrap.
-	var wrapKeys []mem.Block
-	for b := mem.Block(0); len(wrapKeys) < 6; b++ {
-		if tb.home(b) >= len(tb.slots)-2 {
-			wrapKeys = append(wrapKeys, b)
+	for i, b := range keys {
+		tb.Put(b, i+1)
+	}
+	if tb.Len() != len(keys) {
+		t.Fatalf("Len = %d, want %d", tb.Len(), len(keys))
+	}
+	for i, b := range keys {
+		if v, ok := tb.Get(b); !ok || v != i+1 {
+			t.Fatalf("Get(%#x) = %d,%v want %d,true", b, v, ok, i+1)
 		}
 	}
-	for i, b := range wrapKeys {
-		tb.Put(b, i)
-	}
-	// Delete the first two (the chain heads), forcing wrapped
-	// successors to shift back across the boundary.
-	tb.Delete(wrapKeys[0])
-	tb.Delete(wrapKeys[1])
-	for i, b := range wrapKeys[2:] {
-		if v, ok := tb.Get(b); !ok || v != i+2 {
-			t.Fatalf("key %d lost after wrap-boundary deletes: got %d,%v", b, v, ok)
+	for _, b := range []mem.Block{2, 62, 65, 126, 130, top - 2, top - 126} {
+		if _, ok := tb.Get(b); ok {
+			t.Fatalf("Get(%#x) hit a key never inserted", b)
 		}
 	}
-	// Re-insert around the boundary and re-verify.
-	tb.Put(wrapKeys[0], 100)
-	for i, b := range wrapKeys[2:] {
-		if v, ok := tb.Get(b); !ok || v != i+2 {
-			t.Fatalf("key %d lost after re-insert: got %d,%v", b, v, ok)
+	// Deleting every other key leaves its leaf neighbours intact.
+	for i := 0; i < len(keys); i += 2 {
+		if v, ok := tb.Delete(keys[i]); !ok || v != i+1 {
+			t.Fatalf("Delete(%#x) = %d,%v want %d,true", keys[i], v, ok, i+1)
 		}
 	}
-	if v, ok := tb.Get(wrapKeys[0]); !ok || v != 100 {
-		t.Fatalf("re-inserted key: got %d,%v want 100,true", v, ok)
+	for i, b := range keys {
+		v, ok := tb.Get(b)
+		if want := i%2 == 1; ok != want || (ok && v != i+1) {
+			t.Fatalf("after deletes Get(%#x) = %d,%v", b, v, ok)
+		}
 	}
 }
 
-func TestReserve(t *testing.T) {
-	var tb Table[int]
-	tb.Reserve(1000)
-	size := len(tb.slots)
-	for i := 0; i < 1000; i++ {
-		tb.Put(mem.Block(i*977), i)
+// TestPointersStableAcrossIndexGrowth keeps a pointer per key while
+// thousands of pages are inserted around it, forcing the page index to
+// double many times, and checks every pointer still aliases its entry.
+func TestPointersStableAcrossIndexGrowth(t *testing.T) {
+	var tb Table[uint64]
+	const pages = 5000
+	ptrs := make([]*uint64, pages)
+	for p := 0; p < pages; p++ {
+		b := mem.Block(p*7919) * mem.BlocksPerPage
+		ptrs[p] = tb.Ref(b + mem.Block(p%mem.BlocksPerPage))
+		*ptrs[p] = uint64(p)
 	}
-	if len(tb.slots) != size {
-		t.Fatalf("table rehashed despite Reserve: %d -> %d slots", size, len(tb.slots))
-	}
-	for i := 0; i < 1000; i++ {
-		if v, ok := tb.Get(mem.Block(i * 977)); !ok || v != i {
-			t.Fatalf("Get(%d) = %d,%v", i*977, v, ok)
+	for p := 0; p < pages; p++ {
+		b := mem.Block(p*7919)*mem.BlocksPerPage + mem.Block(p%mem.BlocksPerPage)
+		if got := tb.Ptr(b); got != ptrs[p] {
+			t.Fatalf("page %d: Ptr moved from %p to %p", p, ptrs[p], got)
 		}
+		if *ptrs[p] != uint64(p) {
+			t.Fatalf("page %d: kept pointer reads %d", p, *ptrs[p])
+		}
+	}
+}
+
+// TestDenseRunLeafCount checks the memory claim behind the design: a
+// dense run of N blocks starting on a page boundary uses exactly
+// ceil(N/128) leaves.
+func TestDenseRunLeafCount(t *testing.T) {
+	for _, n := range []int{1, 127, 128, 129, 1000, 1 << 14} {
+		var tb Table[uint8]
+		base := mem.Block(12345) * mem.BlocksPerPage
+		for i := 0; i < n; i++ {
+			*tb.Ref(base + mem.Block(i)) |= 1
+		}
+		want := (n + mem.BlocksPerPage - 1) / mem.BlocksPerPage
+		if tb.pages != want || tb.Len() != n {
+			t.Fatalf("N=%d: %d leaves, %d entries; want %d leaves, %d entries", n, tb.pages, tb.Len(), want, n)
+		}
+	}
+}
+
+// TestClearRefillAllocatesNothing clears a populated table and refills
+// the same pages: the leaves come back from the free list and the
+// page index keeps its size, so a steady clear/refill cycle allocates
+// nothing.
+func TestClearRefillAllocatesNothing(t *testing.T) {
+	var tb Table[uint64]
+	fill := func() {
+		for p := 0; p < 300; p++ {
+			for i := 0; i < 3; i++ {
+				tb.Put(mem.Block(p*1000+i*40), uint64(p))
+			}
+		}
+	}
+	fill()
+	allocs := testing.AllocsPerRun(20, func() {
+		tb.Clear()
+		if tb.Len() != 0 {
+			t.Fatal("Clear left entries behind")
+		}
+		fill()
+	})
+	if allocs != 0 {
+		t.Fatalf("Clear+refill allocated %.1f times per run, want 0", allocs)
+	}
+	if v, ok := tb.Get(mem.Block(299*1000 + 80)); !ok || v != 299 {
+		t.Fatalf("after refill Get = %d,%v want 299,true", v, ok)
 	}
 }
 
@@ -209,6 +264,38 @@ func benchMapOps(b *testing.B, keyRange uint64) {
 			delete(m, k)
 		default:
 			_ = m[k]
+		}
+	}
+}
+
+// BenchmarkBlockTableDense uses the simulator's key pattern: keys in
+// a dense region of pages (as mem.Space lays data out), walked with unit
+// and small strides, with insert/delete churn like transactions
+// retiring. Its steady state must report 0 allocs/op.
+func BenchmarkBlockTableDense(b *testing.B) {
+	const region = 1 << 16 // blocks: 512 pages, 2 MB of simulated data
+	var tb Table[uint64]
+	for i := 0; i < region; i += 2 {
+		tb.Put(mem.Block(i), uint64(i))
+	}
+	strides := [...]mem.Block{1, 1, 1, 2, 3, 4, 8, 16}
+	rng := sim.NewRand(1)
+	var cur, stride mem.Block
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i&63 == 0 { // a new walk: random start, unit or small stride
+			cur = mem.Block(rng.Uint64() % region)
+			stride = strides[rng.Intn(len(strides))]
+		}
+		cur = (cur + stride) % region
+		switch i & 7 {
+		case 0:
+			tb.Put(cur, uint64(i))
+		case 1:
+			tb.Delete(cur)
+		default:
+			tb.Get(cur)
 		}
 	}
 }

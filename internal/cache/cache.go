@@ -137,7 +137,7 @@ type Store interface {
 
 // InfiniteStore is an SLC with unbounded capacity: no replacement
 // misses, so all remaining misses are cold or coherence misses (§5.1).
-// Lines live in an open-addressed block table, not a Go map: the SLC
+// Lines live in a page-granular block table, not a Go map: the SLC
 // tag lookup is on the path of every FLC miss.
 type InfiniteStore struct {
 	lines      blockmap.Table[Line]
@@ -146,9 +146,7 @@ type InfiniteStore struct {
 
 // NewInfiniteStore returns an empty infinite SLC store.
 func NewInfiniteStore() *InfiniteStore {
-	c := &InfiniteStore{}
-	c.lines.Reserve(1 << 16)
-	return c
+	return &InfiniteStore{}
 }
 
 // Lookup implements Store.

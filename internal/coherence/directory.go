@@ -60,17 +60,14 @@ type Entry struct {
 }
 
 // Directory holds entries for every block ever referenced. Blocks not
-// present are Uncached; entries materialize on first use. Entries are
-// slab-allocated in chunks — pointers stay stable for the directory's
-// lifetime without one heap object per block.
+// present are Uncached; entries materialize on first use. Entries live
+// inline in a page-granular block table, which never moves a value, so
+// an *Entry stays valid for the directory's lifetime (in-flight events
+// hold one across hops).
 type Directory struct {
 	nodes   int
-	entries blockmap.Table[*Entry]
-	slab    []Entry
+	entries blockmap.Table[Entry]
 }
-
-// entrySlab is how many entries materialize per slab allocation.
-const entrySlab = 1024
 
 // New returns a directory for a machine of nodes processing nodes
 // (nodes <= 64).
@@ -78,29 +75,17 @@ func New(nodes int) *Directory {
 	if nodes <= 0 || nodes > 64 {
 		panic("coherence: node count must be in 1..64")
 	}
-	d := &Directory{nodes: nodes}
-	d.entries.Reserve(1 << 16)
-	return d
+	return &Directory{nodes: nodes}
 }
 
 // Entry returns the directory entry for b, materializing an Uncached
 // entry on first reference.
-func (d *Directory) Entry(b mem.Block) *Entry {
-	if e, ok := d.entries.Get(b); ok {
-		return e
-	}
-	if len(d.slab) == 0 {
-		d.slab = make([]Entry, entrySlab)
-	}
-	e := &d.slab[0]
-	d.slab = d.slab[1:]
-	d.entries.Put(b, e)
-	return e
-}
+func (d *Directory) Entry(b mem.Block) *Entry { return d.entries.Ref(b) }
 
 // Peek returns the entry for b without materializing one.
 func (d *Directory) Peek(b mem.Block) (*Entry, bool) {
-	return d.entries.Get(b)
+	e := d.entries.Ptr(b)
+	return e, e != nil
 }
 
 // AddSharer sets node n's presence bit.

@@ -189,8 +189,7 @@ func (m *Machine) fireEv(c *ev, t sim.Time) {
 
 	case evWritebackAck:
 		n, b := c.n, c.b
-		cbs, _ := n.wbPending.Get(b)
-		n.wbPending.Delete(b)
+		cbs, _ := n.wbPending.Delete(b)
 		for _, cb := range cbs {
 			cb(t)
 		}

@@ -281,7 +281,6 @@ func New(cfg Config, prog *trace.Program) (*Machine, error) {
 			flwb:   cache.NewWriteBuffer(cfg.FLWBEntries),
 			slc:    store,
 		}
-		n.hist.Reserve(1 << 14)
 		if bs, ok := n.stream.(trace.BatchStream); ok {
 			n.bs = bs
 		}

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -52,6 +53,30 @@ func wr(addr uint64, gap uint32) trace.Op {
 }
 
 const page1 = uint64(mem.PageBytes) // home node: 1 % P
+
+// TestNewReservesNoTables guards against up-front table reservations:
+// building a 16-processor, infinite-SLC machine allocates well under
+// 1 MiB, because its block tables (directory, SLC tags, per-node
+// history) grow page by page as blocks are touched.
+func TestNewReservesNoTables(t *testing.T) {
+	streams := make([][]trace.Op, 16)
+	cfg := cfgN(16)
+	if cfg.SLCSize != 0 {
+		t.Fatalf("default SLC size %d, want 0 (infinite)", cfg.SLCSize)
+	}
+	p := prog(streams...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m, err := New(cfg, p)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.KeepAlive(m)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("New allocated %d bytes, want < 1 MiB", got)
+	}
+}
 
 func TestLocalReadMissIs28Pclocks(t *testing.T) {
 	// Table 1: "Read from local memory: 28 pclocks".

@@ -22,8 +22,9 @@ import (
 // the right one, but hash-bucket fan-out benefits from a second). To
 // model finite hardware storage — and bound memory on huge irregular
 // runs — the table is cleared when it exceeds maxEntries correlations;
-// clearing keeps the backing array, so a steady-state run allocates
-// nothing.
+// clearing returns the table's leaves to its free list, so it stays
+// bounded by its high-water leaf count and a steady-state run
+// allocates nothing.
 //
 // Prefetching follows the shared tagged-block phase: a miss (or a
 // consumed prefetch tag) at B emits the MRU successor chain of B up to
@@ -109,8 +110,8 @@ func (p *Markov) OnRead(r Request, emit func(mem.Block)) {
 func (p *Markov) record(from, to mem.Block) {
 	if p.succs.Len() >= p.maxEntries {
 		// Finite correlation storage: drop the learned state and relearn,
-		// like a hardware table being recycled. Keeps the table bounded
-		// and the backing array allocated.
+		// like a hardware table being recycled. The cleared leaves are
+		// reused by the refill.
 		p.succs.Clear()
 	}
 	e := p.succs.Ref(from)

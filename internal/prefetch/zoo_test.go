@@ -1,6 +1,7 @@
 package prefetch
 
 import (
+	"runtime"
 	"testing"
 
 	"prefetchsim/internal/mem"
@@ -85,6 +86,33 @@ func TestMarkovTableBounded(t *testing.T) {
 	}
 	if p.TableLen() > 64 {
 		t.Fatalf("correlation table grew to %d entries past the %d bound", p.TableLen(), 64)
+	}
+}
+
+// TestMarkovRefillAllocatesNothing feeds the correlation table more
+// than markovMaxEntries distinct misses over 960 pages, twice. The
+// first round fills the table, clears it at its bound and refills part
+// of it; the second round clears and refills again from the table's
+// free leaves and must allocate nothing.
+func TestMarkovRefillAllocatesNothing(t *testing.T) {
+	p := NewMarkov(1)
+	emit := func(mem.Block) {}
+	round := func() {
+		for i := 0; i < markovMaxEntries*3/2; i++ {
+			p.OnRead(blockMiss(mem.Block(i*5)), emit)
+		}
+	}
+	round()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	round()
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("second round allocated %d times, want 0", n)
+	}
+	if p.TableLen() >= markovMaxEntries {
+		t.Fatalf("correlation table holds %d entries, bound %d", p.TableLen(), markovMaxEntries)
 	}
 }
 

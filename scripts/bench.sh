@@ -84,7 +84,7 @@ bench_all() {
     # benchtime — minutes instead of tens of minutes, enough signal
     # for CI's coarse (>25% ns/op) regression gate.
     run 'EngineSchedule$' ./internal/sim 1s
-    run 'BlockTable$|BlockTableHits' ./internal/blockmap 1s
+    run 'BlockTable$|BlockTableHits|BlockTableDense' ./internal/blockmap 1s
     run 'StreamNext' ./internal/trace 1s
     run 'MeshSend' ./internal/network 1s
   fi
