@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"sync"
 	"time"
 
@@ -51,6 +52,18 @@ type jobSpec struct {
 	// Metrics adds machine-wide metric totals to the payload (both
 	// kinds).
 	Metrics bool `json:"metrics,omitempty"`
+}
+
+// decodeSpec reads one POSTed job spec. Unknown fields are an error,
+// so a misspelled option is rejected instead of silently defaulted.
+func decodeSpec(r io.Reader) (jobSpec, error) {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	var spec jobSpec
+	if err := dec.Decode(&spec); err != nil {
+		return spec, fmt.Errorf("decode job spec: %w", err)
+	}
+	return spec, nil
 }
 
 // normalize validates the spec and applies the simulator's defaults,

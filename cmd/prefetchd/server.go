@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -530,15 +529,13 @@ func writeErr(w http.ResponseWriter, code int, err error) {
 }
 
 func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	var spec jobSpec
-	if err := dec.Decode(&spec); err != nil {
+	spec, err := decodeSpec(r.Body)
+	if err != nil {
 		s.badSpec.Inc()
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("decode job spec: %w", err))
+		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	spec, err := spec.normalize()
+	spec, err = spec.normalize()
 	if err != nil {
 		s.badSpec.Inc()
 		writeErr(w, http.StatusBadRequest, err)

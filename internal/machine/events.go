@@ -14,7 +14,9 @@ import (
 // the protocol fast path allocates nothing in steady state: an ev is
 // taken from the machine's free list when a hop is scheduled, reused
 // in place across the hops of one transaction leg, and returned when
-// the leg completes. The machine runs single-threaded per simulation,
+// the leg completes. The pool allocates evs in slabs; each ev registers
+// with the engine once, when its slab is made, and keeps its id across
+// reuse. The machine runs single-threaded per simulation,
 // so the pool needs no locking.
 
 // evKind identifies which protocol step an ev performs when it fires.
@@ -68,7 +70,8 @@ type ev struct {
 	aux  int
 	flag bool
 	co   *ev
-	next *ev // machine free list
+	next *ev           // machine free list
+	id   sim.HandlerID // engine registration, kept across reuse
 }
 
 // Fire implements sim.Handler.
@@ -78,21 +81,31 @@ func (c *ev) Fire(t sim.Time) { c.m.fireEv(c, t) }
 // this home transaction now owns it.
 func (c *ev) Run() { c.m.runHome(c) }
 
+// evSlab is how many events the pool allocates and registers at once
+// when it runs dry.
+const evSlab = 32
+
 // newEv takes an event from the pool.
 func (m *Machine) newEv(kind evKind) *ev {
-	c := m.evFree
-	if c == nil {
-		c = &ev{m: m}
-	} else {
-		m.evFree = c.next
+	if m.evFree == nil {
+		slab := make([]ev, evSlab)
+		for i := range slab {
+			c := &slab[i]
+			c.m = m
+			c.id = m.eng.Register(c)
+			c.next = m.evFree
+			m.evFree = c
+		}
 	}
+	c := m.evFree
+	m.evFree = c.next
 	c.kind = kind
 	return c
 }
 
 // putEv clears an event and returns it to the pool.
 func (m *Machine) putEv(c *ev) {
-	*c = ev{m: c.m, next: m.evFree}
+	*c = ev{m: c.m, next: m.evFree, id: c.id}
 	m.evFree = c
 }
 
@@ -135,7 +148,7 @@ func (m *Machine) fireEv(c *ev, t sim.Time) {
 		supplyAt, hadCopy := m.ownerDowngrade(own, c.b)
 		c.flag = hadCopy
 		c.kind = evReadWb
-		m.eng.Schedule(m.mesh.Send(network.ReplyPlane, c.aux, c.home, network.DataFlits, supplyAt), c)
+		m.eng.Schedule(m.mesh.Send(network.ReplyPlane, c.aux, c.home, network.DataFlits, supplyAt), c.id)
 		return
 
 	case evReadWb:
@@ -151,7 +164,7 @@ func (m *Machine) fireEv(c *ev, t sim.Time) {
 		}
 		e.AddSharer(c.n.id)
 		c.kind = evReadFill
-		m.eng.Schedule(m.mesh.Send(network.ReplyPlane, c.home, c.n.id, network.DataFlits, done), c)
+		m.eng.Schedule(m.mesh.Send(network.ReplyPlane, c.home, c.n.id, network.DataFlits, done), c.id)
 		return
 
 	case evReadFill:
@@ -160,7 +173,7 @@ func (m *Machine) fireEv(c *ev, t sim.Time) {
 	case evInvSend:
 		ackAt := m.applyInv(m.nodes[c.aux], c.b)
 		c.kind = evInvAck
-		m.eng.Schedule(m.mesh.Send(network.ReplyPlane, c.aux, c.home, network.CtrlFlits, ackAt), c)
+		m.eng.Schedule(m.mesh.Send(network.ReplyPlane, c.aux, c.home, network.CtrlFlits, ackAt), c.id)
 		return
 
 	case evInvAck:
@@ -178,7 +191,7 @@ func (m *Machine) fireEv(c *ev, t sim.Time) {
 	case evWriteFwd:
 		supplyAt := m.ownerInvalidate(m.nodes[c.aux], c.b)
 		c.kind = evWriteData
-		m.eng.Schedule(m.mesh.Send(network.ReplyPlane, c.aux, c.home, network.DataFlits, supplyAt), c)
+		m.eng.Schedule(m.mesh.Send(network.ReplyPlane, c.aux, c.home, network.DataFlits, supplyAt), c.id)
 		return
 
 	case evWriteData:

@@ -177,6 +177,7 @@ const (
 
 // node is one processing node.
 type node struct {
+	m   *Machine
 	id  int
 	st  *stats.Node
 	met NodeMetrics
@@ -196,7 +197,8 @@ type node struct {
 	stashed bool
 	time    sim.Time
 	done    bool
-	stepFn  func() // cached continuation closure (hot path)
+	// stepID is the engine id of the node's step handler (Fire).
+	stepID sim.HandlerID
 
 	flc    *cache.FLC
 	flwb   *cache.WriteBuffer
@@ -274,6 +276,7 @@ func New(cfg Config, prog *trace.Program) (*Machine, error) {
 			store = cache.NewDirectStore(cfg.SLCSize)
 		}
 		n := &node{
+			m:      m,
 			id:     i,
 			st:     &m.Stats.Nodes[i],
 			stream: prog.Streams[i],
@@ -290,7 +293,7 @@ func New(cfg Config, prog *trace.Program) (*Machine, error) {
 			n.pf = prefetch.None{}
 		}
 		n.pfCross = prefetch.CrossesPages(n.pf)
-		n.stepFn = func() { m.stepNode(n) }
+		n.stepID = m.eng.Register(n)
 		n.pfEmit = func(pb mem.Block) { m.emitPrefetch(n, pb) }
 		m.nodes = append(m.nodes, n)
 	}
@@ -302,8 +305,7 @@ func New(cfg Config, prog *trace.Program) (*Machine, error) {
 // reached End) or when MaxEvents is exceeded.
 func (m *Machine) Run() (*stats.Machine, error) {
 	for _, n := range m.nodes {
-		n := n
-		m.eng.At(0, func() { m.stepNode(n) })
+		m.eng.Schedule(0, n.stepID)
 	}
 	if m.tl != nil {
 		m.tlFn = func() { m.timelineTick() }
@@ -351,8 +353,11 @@ func (m *Machine) home(b mem.Block) int { return mem.HomeNode(b, m.cfg.Processor
 // scheduleStep resumes the processor's fetch-execute loop at its local
 // time.
 func (m *Machine) scheduleStep(n *node) {
-	m.eng.At(n.time, n.stepFn)
+	m.eng.Schedule(n.time, n.stepID)
 }
+
+// Fire implements sim.Handler: the node's scheduled step.
+func (n *node) Fire(sim.Time) { n.m.stepNode(n) }
 
 // trySLWB claims a slot if one is free; prefetches are dropped rather
 // than queued when the SLWB is full (the lockup-free SLC stalls demand

@@ -70,7 +70,7 @@ func (m *Machine) dispatchReadTx(n *node, b mem.Block, tx *pendingTx, t sim.Time
 	arrive := m.mesh.Send(network.ReqPlane, n.id, home, network.CtrlFlits, t)
 	c := m.newEv(evHomeRead)
 	c.n, c.b, c.tx, c.home = n, b, tx, home
-	m.eng.Schedule(arrive, c)
+	m.eng.Schedule(arrive, c.id)
 }
 
 // homeRead services a read request at the block's home node. The event
@@ -90,7 +90,7 @@ func (m *Machine) homeRead(c *ev) {
 		arrive := m.mesh.Send(network.ReplyPlane, home, n.id, network.DataFlits, done)
 		f := m.newEv(evReadFill)
 		f.n, f.b, f.tx, f.e = n, b, c.tx, e
-		m.eng.Schedule(arrive, f)
+		m.eng.Schedule(arrive, f.id)
 
 	case coherence.Dirty:
 		owner := e.Owner
@@ -104,7 +104,7 @@ func (m *Machine) homeRead(c *ev) {
 		fwd := m.mesh.Send(network.ReqPlane, home, owner, network.CtrlFlits, ctrl)
 		f := m.newEv(evReadFwd)
 		f.n, f.b, f.tx, f.e, f.home, f.aux = n, b, c.tx, e, home, owner
-		m.eng.Schedule(fwd, f)
+		m.eng.Schedule(fwd, f.id)
 	}
 }
 
@@ -242,7 +242,7 @@ func (m *Machine) dispatchWriteTx(n *node, b mem.Block, tx *pendingTx, t sim.Tim
 	arrive := m.mesh.Send(network.ReqPlane, n.id, home, network.CtrlFlits, t)
 	c := m.newEv(evHomeWrite)
 	c.n, c.b, c.tx, c.home = n, b, tx, home
-	m.eng.Schedule(arrive, c)
+	m.eng.Schedule(arrive, c.id)
 }
 
 // sendWriteGrant makes c's requester the dirty owner and schedules the
@@ -265,7 +265,7 @@ func (m *Machine) sendWriteGrant(c *ev, done sim.Time, withData bool) {
 	arrive := m.mesh.Send(network.ReplyPlane, c.home, c.n.id, flits, done)
 	f := m.newEv(evWriteGrant)
 	f.n, f.b, f.tx, f.e = c.n, c.b, c.tx, c.e
-	m.eng.Schedule(arrive, f)
+	m.eng.Schedule(arrive, f.id)
 }
 
 // homeWrite services an ownership request (upgrade or read-exclusive).
@@ -307,7 +307,7 @@ func (m *Machine) homeWrite(c *ev) {
 			invArrive := m.mesh.Send(network.ReqPlane, home, s, network.CtrlFlits, ctrl)
 			f := m.newEv(evInvSend)
 			f.b, f.home, f.aux, f.co = c.b, home, s, co
-			m.eng.Schedule(invArrive, f)
+			m.eng.Schedule(invArrive, f.id)
 		}
 
 	case coherence.Dirty:
@@ -319,7 +319,7 @@ func (m *Machine) homeWrite(c *ev) {
 		fwd := m.mesh.Send(network.ReqPlane, home, owner, network.CtrlFlits, ctrl)
 		f := m.newEv(evWriteFwd)
 		f.n, f.b, f.tx, f.e, f.home, f.aux = n, c.b, c.tx, e, home, owner
-		m.eng.Schedule(fwd, f)
+		m.eng.Schedule(fwd, f.id)
 	}
 }
 
@@ -396,7 +396,7 @@ func (m *Machine) handleVictim(n *node, v cache.Victim, t sim.Time) {
 	arrive := m.mesh.Send(network.ReqPlane, n.id, home, network.DataFlits, t)
 	c := m.newEv(evWriteback)
 	c.n, c.b, c.home = n, v.Block, home
-	m.eng.Schedule(arrive, c)
+	m.eng.Schedule(arrive, c.id)
 }
 
 // homeWriteback retires an eviction writeback at the home. A writeback
@@ -417,5 +417,5 @@ func (m *Machine) homeWriteback(c *ev) {
 	e.Release()
 	f := m.newEv(evWritebackAck)
 	f.n, f.b = n, b
-	m.eng.Schedule(ackArrive, f)
+	m.eng.Schedule(ackArrive, f.id)
 }

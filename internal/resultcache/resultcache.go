@@ -12,6 +12,11 @@
 //     a temp file in the same directory tree and are renamed into
 //     place, so a crash mid-write never leaves a readable-but-partial
 //     object: readers see the old state or the new one, nothing else.
+//   - Each object file starts with a header: a format magic and the
+//     SHA-256 of the payload. Get verifies it and treats a mismatch, a
+//     truncated file or an old-format object as corrupt: the entry is
+//     dropped and the read is a miss, so damaged bytes are never
+//     served.
 //   - A size budget enforced by LRU eviction: Put evicts the
 //     least-recently-used objects (never the one just written) until
 //     the store fits.
@@ -23,6 +28,8 @@
 package resultcache
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -37,6 +44,31 @@ import (
 // IndexSchema versions index.json; unknown schemas are ignored and the
 // index rebuilt from the objects on disk.
 const IndexSchema = 1
+
+// objectMagic opens every object file, ahead of the payload's SHA-256;
+// headerLen is the whole header. Entry sizes count payload bytes only.
+const (
+	objectMagic = "prefetchsim-rc1\n"
+	headerLen   = len(objectMagic) + sha256.Size
+)
+
+// objectHeader returns the header stored ahead of data.
+func objectHeader(data []byte) []byte {
+	sum := sha256.Sum256(data)
+	return append([]byte(objectMagic), sum[:]...)
+}
+
+// payload returns the verified payload of an object file's contents,
+// or false when the file is truncated, of another format, or does not
+// match its checksum.
+func payload(file []byte) ([]byte, bool) {
+	if len(file) < headerLen || string(file[:len(objectMagic)]) != objectMagic {
+		return nil, false
+	}
+	data := file[headerLen:]
+	sum := sha256.Sum256(data)
+	return data, bytes.Equal(sum[:], file[len(objectMagic):headerLen])
+}
 
 // Store is an open result cache. It is safe for concurrent use.
 type Store struct {
@@ -69,6 +101,10 @@ type Metrics struct {
 	// OpenErrors counts object files that existed in the entry table
 	// but could not be read back.
 	OpenErrors obs.AtomicCounter
+	// Corrupt counts objects that were read back but failed their
+	// checksum (or were truncated or of another format) and were
+	// dropped; each also counts as a miss.
+	Corrupt obs.AtomicCounter
 	// Objects and Bytes track the stored object count and summed size.
 	Objects obs.AtomicGauge
 	Bytes   obs.AtomicGauge
@@ -80,6 +116,7 @@ func (m *Metrics) Bind(r *obs.Registry, prefix string) {
 	r.BindAtomicCounter(prefix+".misses", &m.Misses)
 	r.BindAtomicCounter(prefix+".evictions", &m.Evictions)
 	r.BindAtomicCounter(prefix+".open.errors", &m.OpenErrors)
+	r.BindAtomicCounter(prefix+".corrupt", &m.Corrupt)
 	r.BindAtomicGauge(prefix+".objects", &m.Objects)
 	r.BindAtomicGauge(prefix+".bytes", &m.Bytes)
 }
@@ -210,7 +247,7 @@ func (s *Store) scanObjects(recency map[string]int64) error {
 			if err != nil || !info.Mode().IsRegular() {
 				continue
 			}
-			e := &entry{Key: f.Name(), Size: info.Size()}
+			e := &entry{Key: f.Name(), Size: max(info.Size()-int64(headerLen), 0)}
 			if ns, ok := recency[e.Key]; ok {
 				e.LastUsedUnixNS = ns
 			} else {
@@ -237,9 +274,10 @@ func (s *Store) scanObjects(recency map[string]int64) error {
 }
 
 // Get returns the object stored under key and whether it was present,
-// bumping its recency. A key whose object file cannot be read counts
-// as absent (the entry is dropped), never as an error: the cache's
-// contract is best-effort — a miss just means simulating again.
+// bumping its recency. A key whose object file cannot be read, or
+// fails its checksum, counts as absent (the entry is dropped), never
+// as an error: the cache's contract is best-effort — a miss just
+// means simulating again.
 func (s *Store) Get(key string) ([]byte, bool) {
 	if validKey(key) != nil {
 		return nil, false
@@ -253,12 +291,22 @@ func (s *Store) Get(key string) ([]byte, bool) {
 		}
 		return nil, false
 	}
-	data, err := os.ReadFile(s.objectPath(key))
+	file, err := os.ReadFile(s.objectPath(key))
 	if err != nil {
 		s.drop(e)
 		s.syncSize()
 		if s.m != nil {
 			s.m.OpenErrors.Inc()
+			s.m.Misses.Inc()
+		}
+		return nil, false
+	}
+	data, ok := payload(file)
+	if !ok {
+		s.drop(e)
+		s.syncSize()
+		if s.m != nil {
+			s.m.Corrupt.Inc()
 			s.m.Misses.Inc()
 		}
 		return nil, false
@@ -282,10 +330,10 @@ func (s *Store) Contains(key string) bool {
 	return ok
 }
 
-// Put stores data under key: write to a temp file, rename into place,
-// then evict least-recently-used objects (never this one) until the
-// store fits its budget. Overwriting an existing key is allowed and
-// idempotent for content-addressed use.
+// Put stores data under key: write the header and data to a temp
+// file, rename into place, then evict least-recently-used objects
+// (never this one) until the store fits its budget. Overwriting an
+// existing key is allowed and idempotent for content-addressed use.
 func (s *Store) Put(key string, data []byte) error {
 	if err := validKey(key); err != nil {
 		return err
@@ -298,7 +346,7 @@ func (s *Store) Put(key string, data []byte) error {
 		return fmt.Errorf("resultcache: %w", err)
 	}
 	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
+	if _, err := tmp.Write(append(objectHeader(data), data...)); err != nil {
 		tmp.Close()
 		os.Remove(tmpName)
 		return fmt.Errorf("resultcache: %w", err)

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"prefetchsim/internal/obs"
 )
 
 // key builds a distinct, valid test key.
@@ -315,5 +317,112 @@ func TestMetricsMirrorStore(t *testing.T) {
 	if m2.Objects.Value() != 2 || m2.Bytes.Value() != 20 || m2.Evictions.Value() != 0 {
 		t.Fatalf("reopened: objects=%d bytes=%d evictions=%d, want 2/20/0",
 			m2.Objects.Value(), m2.Bytes.Value(), m2.Evictions.Value())
+	}
+}
+
+// TestCorruptObjectNeverServed: a flipped payload byte, a flipped
+// checksum byte, a truncated object and an object in the old
+// headerless format all fail verification. Each Get is a miss that
+// drops the entry and counts as corrupt, never an error or a hit, and
+// a re-Put of the key serves again.
+func TestCorruptObjectNeverServed(t *testing.T) {
+	want := []byte("row 1\nrow 2\nrow 3\n")
+	for _, tc := range []struct {
+		name   string
+		damage func(file []byte) []byte
+	}{
+		{"flipped payload byte", func(f []byte) []byte { f[len(f)-3] ^= 0x01; return f }},
+		{"flipped checksum byte", func(f []byte) []byte { f[len(objectMagic)] ^= 0x80; return f }},
+		{"truncated payload", func(f []byte) []byte { return f[:len(f)-1] }},
+		{"truncated header", func(f []byte) []byte { return f[:headerLen-1] }},
+		{"old format", func([]byte) []byte { return append([]byte(nil), want...) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(dir, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			r := obs.NewRegistry()
+			var m Metrics
+			m.Bind(r, "resultcache")
+			s.Instrument(&m)
+
+			k := key(5)
+			if err := s.Put(k, want); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, "objects", k[:2], k)
+			file, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, tc.damage(file), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			if got, ok := s.Get(k); ok || got != nil {
+				t.Fatalf("damaged object served: (%q, %v)", got, ok)
+			}
+			if m.Corrupt.Value() != 1 || m.Misses.Value() != 1 || m.Hits.Value() != 0 || m.OpenErrors.Value() != 0 {
+				t.Fatalf("corrupt=%d misses=%d hits=%d open errors=%d, want 1/1/0/0",
+					m.Corrupt.Value(), m.Misses.Value(), m.Hits.Value(), m.OpenErrors.Value())
+			}
+			if s.Len() != 0 || s.Bytes() != 0 || m.Objects.Value() != 0 {
+				t.Fatalf("corrupt entry kept: Len=%d Bytes=%d objects=%d", s.Len(), s.Bytes(), m.Objects.Value())
+			}
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Fatalf("corrupt object file not removed: %v", err)
+			}
+			var b strings.Builder
+			if err := r.WritePrometheus(&b); err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(b.String(), "\nresultcache_corrupt_total 1\n") {
+				t.Fatalf("exposition lacks resultcache_corrupt_total 1:\n%s", b.String())
+			}
+
+			if err := s.Put(k, want); err != nil {
+				t.Fatal(err)
+			}
+			if got, ok := s.Get(k); !ok || !bytes.Equal(got, want) {
+				t.Fatalf("after re-Put Get = (%q, %v), want (%q, true)", got, ok, want)
+			}
+		})
+	}
+}
+
+// TestCorruptObjectAfterReopen: an object damaged while the store was
+// closed is adopted by the scan, then caught by the first Get.
+func TestCorruptObjectAfterReopen(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := key(6)
+	s.Put(k, []byte("persisted"))
+	s.Close()
+	path := filepath.Join(dir, "objects", k[:2], k)
+	if err := os.WriteFile(path, []byte("persisted"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	var m Metrics
+	s2.Instrument(&m)
+	if s2.Len() != 1 || s2.Bytes() != 0 {
+		t.Fatalf("reopened Len/Bytes = %d/%d, want 1/0 (headerless file counts no payload)", s2.Len(), s2.Bytes())
+	}
+	if _, ok := s2.Get(k); ok {
+		t.Fatal("headerless object served after reopen")
+	}
+	if m.Corrupt.Value() != 1 || s2.Len() != 0 {
+		t.Fatalf("corrupt=%d Len=%d, want 1/0", m.Corrupt.Value(), s2.Len())
 	}
 }

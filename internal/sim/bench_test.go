@@ -6,6 +6,7 @@ import "testing"
 // schedule/fire cycle through it must not allocate.
 type benchHandler struct {
 	e     *Engine
+	id    HandlerID
 	left  int
 	fired int
 }
@@ -14,7 +15,7 @@ func (h *benchHandler) Fire(t Time) {
 	h.fired++
 	if h.left > 0 {
 		h.left--
-		h.e.Schedule(t+3, h)
+		h.e.Schedule(t+3, h.id)
 	}
 }
 
@@ -27,7 +28,8 @@ func BenchmarkEngineSchedule(b *testing.B) {
 	handlers := make([]benchHandler, depth)
 	for i := range handlers {
 		handlers[i] = benchHandler{e: &e, left: b.N / depth}
-		e.Schedule(Time(i), &handlers[i])
+		handlers[i].id = e.Register(&handlers[i])
+		e.Schedule(Time(i), handlers[i].id)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -86,6 +88,7 @@ var mixedDeltas = func() [4096]Time {
 // mixedHandler reschedules itself with the next delta of mixedDeltas.
 type mixedHandler struct {
 	e    *Engine
+	id   HandlerID
 	next *int
 	left *int
 }
@@ -94,7 +97,7 @@ func (h *mixedHandler) Fire(t Time) {
 	if *h.left > 0 {
 		*h.left--
 		*h.next++
-		h.e.Schedule(t+mixedDeltas[*h.next&(len(mixedDeltas)-1)], h)
+		h.e.Schedule(t+mixedDeltas[*h.next&(len(mixedDeltas)-1)], h.id)
 	}
 }
 
@@ -109,7 +112,8 @@ func BenchmarkEngineScheduleMixed(b *testing.B) {
 	handlers := make([]mixedHandler, depth)
 	for i := range handlers {
 		handlers[i] = mixedHandler{e: &e, next: &next, left: &left}
-		e.Schedule(mixedDeltas[i], &handlers[i])
+		handlers[i].id = e.Register(&handlers[i])
+		e.Schedule(mixedDeltas[i], handlers[i].id)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

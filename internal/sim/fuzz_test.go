@@ -39,7 +39,7 @@ func FuzzEngineVsHeap(f *testing.F) {
 			seq++
 			heap.Push(ref, refEvent{at: at, seq: seq, id: ev})
 			if pooled {
-				e.Schedule(at, idHandler{f: func() { fire(ev) }})
+				e.Schedule(at, e.Register(idHandler{f: func() { fire(ev) }}))
 			} else {
 				e.At(at, func() { fire(ev) })
 			}

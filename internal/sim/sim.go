@@ -13,14 +13,17 @@
 // rare event due further ahead goes into a hand-rolled 4-ary min-heap
 // (no container/heap, no interface{} boxing). Since every wheel event
 // lies in [now, now+wheelSize), a bucket only ever holds one timestamp,
-// and FIFO order within it is insertion order; pop compares the bucket
-// head with the heap root by (time, seq), so dispatch follows exactly
-// the (time, seq) total order. Vacated slots, in the pool and in the
-// heap, are zeroed so nothing retains a dead callback.
+// and FIFO order within it is insertion order. An overflow event due
+// at T was scheduled before every wheel event due at T, so pop takes
+// the overflow root first on a tie, and dispatch follows exactly the
+// (time, seq) total order.
 //
-// High-frequency schedulers avoid the per-event closure allocation of
-// At/After entirely by implementing Handler on a pooled object and
-// scheduling it with Schedule (see internal/machine's event pool).
+// Queue entries hold no pointers, so moving them costs no GC write
+// barrier. A wheel slot is 8 bytes: a HandlerID and a link; its time
+// is its bucket's. A Handler is registered once (Register) and then
+// scheduled by id (Schedule). The closures of the cold-path At live in
+// a free-listed side table under negative ids, cleared when they fire,
+// so nothing retains a dead callback.
 package sim
 
 import (
@@ -48,28 +51,35 @@ type EngineMetrics struct {
 // Handler is a pre-allocated event callback. Fire runs when the
 // event's time arrives, with t the (now current) scheduled time.
 // Components that schedule at high frequency implement Handler on
-// pooled objects and use Schedule, so the common schedule/fire cycle
-// reuses event slots instead of allocating a closure per event.
+// pooled objects, register each object once and schedule it by id, so
+// the common schedule/fire cycle moves only integers.
 type Handler interface {
 	Fire(t Time)
 }
 
-// event is one queue slot. Exactly one of fn and h is set on a pending
-// event. next links a wheel slot to the next one in its bucket, or a
-// free slot to the next free one (0 ends a list); the overflow heap
-// leaves it 0.
-type event struct {
-	at   Time
-	seq  uint64
-	fn   func()
-	h    Handler
+// HandlerID names a registered Handler (>= 0) or, internally, a
+// pending At closure (< 0).
+type HandlerID int32
+
+// slot is one wheel slot: the event's handler and the index of the
+// next slot in its bucket, or of the next free slot (0 ends a list).
+// Its time is its bucket's.
+type slot struct {
+	id   HandlerID
 	next int32
 }
 
+// overEvent is one overflow-heap entry. seq orders overflow events due
+// at the same time; wheel events need none (see pop).
+type overEvent struct {
+	at  Time
+	seq uint64
+	id  HandlerID
+}
+
 // before is the total order (time, insertion sequence); seq is unique,
-// so two events never compare equal and any correct queue pops them in
-// the same deterministic order.
-func (a *event) before(b *event) bool {
+// so two entries never compare equal.
+func (a *overEvent) before(b *overEvent) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
@@ -98,6 +108,7 @@ type bucket struct{ head, tail int32 }
 // ready to use.
 type Engine struct {
 	now Time
+	// seq numbers overflow events in scheduling order.
 	seq uint64
 	// n counts pending events, wheel and overflow together.
 	n int
@@ -111,11 +122,18 @@ type Engine struct {
 	occ   [wheelWords]uint64 // bit i set: wheel[i] is non-empty
 	// slots is the wheel's slot pool; slots[0] is never used, so index
 	// 0 can end a list. free heads the list of vacated slots.
-	slots []event
+	slots []slot
 	free  int32
 	// over is the 4-ary min-heap of events due wheelSize or more
 	// pclocks after the time they were scheduled.
-	over []event
+	over []overEvent
+
+	// handlers is the registry: HandlerID i fires handlers[i].
+	handlers []Handler
+	// fns holds pending At closures; HandlerID ^i names fns[i]. A
+	// fired entry is cleared and its index pushed on fnFree.
+	fns    []func()
+	fnFree []int32
 
 	// met, when non-nil, receives per-dispatch observability updates.
 	met *EngineMetrics
@@ -129,55 +147,72 @@ func (e *Engine) SetMetrics(m *EngineMetrics) { e.met = m }
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 
-// At schedules fn to run at absolute time t. Scheduling in the past is a
-// programming error and panics: it would silently corrupt causality.
+// Register adds h to the engine's registry and returns the id that
+// schedules it. Register each handler object once, when it is created;
+// the id stays valid for the engine's lifetime.
+func (e *Engine) Register(h Handler) HandlerID {
+	e.handlers = append(e.handlers, h)
+	return HandlerID(len(e.handlers) - 1)
+}
+
+// Schedule schedules the registered handler id to fire at absolute
+// time t. It is the allocation-free counterpart of At. At and Schedule
+// share one queue, so their events interleave in exact call order.
+// Scheduling in the past is a programming error and panics: it would
+// silently corrupt causality.
+func (e *Engine) Schedule(t Time, id HandlerID) {
+	if t < e.now {
+		panic("sim: event scheduled in the past")
+	}
+	e.push(t, id)
+}
+
+// At schedules fn to run at absolute time t. It parks fn in a side
+// table for the cold paths that need a closure; hot paths use
+// Schedule.
 func (e *Engine) At(t Time, fn func()) {
 	if t < e.now {
 		panic("sim: event scheduled in the past")
 	}
-	e.seq++
-	e.push(event{at: t, seq: e.seq, fn: fn})
+	var i int32
+	if k := len(e.fnFree); k > 0 {
+		i = e.fnFree[k-1]
+		e.fnFree = e.fnFree[:k-1]
+		e.fns[i] = fn
+	} else {
+		i = int32(len(e.fns))
+		e.fns = append(e.fns, fn)
+	}
+	e.push(t, ^HandlerID(i))
 }
 
 // After schedules fn to run d pclocks from now.
 func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
 
-// Schedule schedules h to fire at absolute time t. It is the
-// allocation-free counterpart of At: the handler object carries the
-// callback state, so nothing escapes per event. At and Schedule share
-// one insertion-sequence counter, so their events interleave in exact
-// call order.
-func (e *Engine) Schedule(t Time, h Handler) {
-	if t < e.now {
-		panic("sim: event scheduled in the past")
-	}
-	e.seq++
-	e.push(event{at: t, seq: e.seq, h: h})
-}
-
-// push queues ev: at the tail of its wheel bucket when it is due within
-// the wheel's span, in the overflow heap otherwise.
-func (e *Engine) push(ev event) {
-	if e.n == 0 || ev.at < e.horizon {
-		e.horizon = ev.at
+// push queues id at time t: at the tail of its wheel bucket when it is
+// due within the wheel's span, in the overflow heap otherwise.
+func (e *Engine) push(t Time, id HandlerID) {
+	if e.n == 0 || t < e.horizon {
+		e.horizon = t
 	}
 	e.n++
-	if ev.at-e.now >= wheelSize {
-		e.pushOverflow(ev)
+	if t-e.now >= wheelSize {
+		e.seq++
+		e.pushOverflow(overEvent{at: t, seq: e.seq, id: id})
 		return
 	}
 	i := e.free
 	if i != 0 {
 		e.free = e.slots[i].next
+		e.slots[i] = slot{id: id}
 	} else {
 		if len(e.slots) == 0 {
-			e.slots = append(e.slots, event{})
+			e.slots = append(e.slots, slot{})
 		}
 		i = int32(len(e.slots))
-		e.slots = append(e.slots, event{})
+		e.slots = append(e.slots, slot{id: id})
 	}
-	e.slots[i] = ev
-	k := int(ev.at) & wheelMask
+	k := int(t) & wheelMask
 	b := &e.wheel[k]
 	if bit := uint64(1) << (k & 63); e.occ[k>>6]&bit == 0 {
 		e.occ[k>>6] |= bit
@@ -188,31 +223,33 @@ func (e *Engine) push(ev event) {
 	b.tail = i
 }
 
-// pop removes and returns the earliest event; the queue must not be
-// empty. The bucket of the horizon time, when occupied, holds events at
-// exactly that time (every wheel event lies in [now, now+wheelSize) and
-// none precedes the horizon), so its head competes only with the
-// overflow root.
-func (e *Engine) pop() event {
+// pop removes the earliest event, which is due at the horizon, and
+// returns its id; the queue must not be empty. The bucket of the
+// horizon time, when occupied, holds events at exactly that time
+// (every wheel event lies in [now, now+wheelSize) and none precedes
+// the horizon). An overflow event due at that time comes first: it
+// was scheduled at some now <= t-wheelSize, and every wheel event due
+// at t at some now > t-wheelSize, later since time never goes back.
+func (e *Engine) pop() HandlerID {
 	t := e.horizon
-	k := int(t) & wheelMask
-	bit := uint64(1) << (k & 63)
 	e.n--
-	var ev event
-	if b := &e.wheel[k]; e.occ[k>>6]&bit != 0 &&
-		(len(e.over) == 0 || e.slots[b.head].before(&e.over[0])) {
+	var id HandlerID
+	if len(e.over) > 0 && e.over[0].at == t {
+		id = e.popOverflow()
+	} else {
+		k := int(t) & wheelMask
+		b := &e.wheel[k]
 		i := b.head
 		s := &e.slots[i]
-		ev = *s
-		*s = event{next: e.free}
+		id = s.id
+		next := s.next
+		s.next = e.free
 		e.free = i
-		if ev.next != 0 {
-			b.head = ev.next
-			return ev // more events at t: the horizon stands
+		if next != 0 {
+			b.head = next
+			return id // more events at t: the horizon stands
 		}
-		e.occ[k>>6] &^= bit
-	} else {
-		ev = e.popOverflow()
+		e.occ[k>>6] &^= uint64(1) << (k & 63)
 	}
 	e.horizon = maxTime
 	if e.n > len(e.over) {
@@ -221,7 +258,7 @@ func (e *Engine) pop() event {
 	if len(e.over) > 0 && e.over[0].at < e.horizon {
 		e.horizon = e.over[0].at
 	}
-	return ev
+	return id
 }
 
 // nextWheel returns the time of the earliest wheel event, which must
@@ -243,7 +280,7 @@ func (e *Engine) nextWheel(t Time) Time {
 }
 
 // pushOverflow appends ev and sifts it up the 4-ary heap.
-func (e *Engine) pushOverflow(ev event) {
+func (e *Engine) pushOverflow(ev overEvent) {
 	q := append(e.over, ev)
 	i := len(q) - 1
 	for i > 0 {
@@ -258,15 +295,12 @@ func (e *Engine) pushOverflow(ev event) {
 	e.over = q
 }
 
-// popOverflow removes and returns the heap's minimum event. The vacated
-// tail slot is zeroed so the backing array does not keep the callback
-// (and whatever it captures) alive.
-func (e *Engine) popOverflow() event {
+// popOverflow removes the heap's minimum event and returns its id.
+func (e *Engine) popOverflow() HandlerID {
 	q := e.over
-	root := q[0]
+	id := q[0].id
 	n := len(q) - 1
 	last := q[n]
-	q[n] = event{}
 	q = q[:n]
 	e.over = q
 
@@ -296,7 +330,7 @@ func (e *Engine) popOverflow() event {
 	if n > 0 {
 		q[i] = last
 	}
-	return root
+	return id
 }
 
 // Pending reports the number of queued events.
@@ -336,13 +370,20 @@ func (e *Engine) Step() bool {
 		e.met.Events.Inc()
 		e.met.Queue.Set(int64(e.n))
 	}
-	ev := e.pop()
-	e.now = ev.at
-	if ev.fn != nil {
-		ev.fn()
-	} else {
-		ev.h.Fire(ev.at)
+	t := e.horizon
+	id := e.pop()
+	e.now = t
+	if id >= 0 {
+		e.handlers[id].Fire(t)
+		return true
 	}
+	// Clear the closure's entry before it runs, so the table keeps no
+	// dead callback and fn may reuse the entry.
+	i := int32(^id)
+	fn := e.fns[i]
+	e.fns[i] = nil
+	e.fnFree = append(e.fnFree, i)
+	fn()
 	return true
 }
 

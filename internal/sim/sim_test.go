@@ -300,7 +300,7 @@ func TestEngineMatchesContainerHeap(t *testing.T) {
 			if ev%2 == 0 {
 				e.At(at, func() { fire(ev) })
 			} else {
-				e.Schedule(at, idHandler{f: func() { fire(ev) }})
+				e.Schedule(at, e.Register(idHandler{f: func() { fire(ev) }}))
 			}
 		}
 
@@ -335,57 +335,79 @@ func TestEngineMatchesContainerHeap(t *testing.T) {
 	}
 }
 
+// queued is one pending event as the engine stores it.
+type queued struct {
+	at Time
+	id HandlerID
+}
+
 // queueEvents lists every pending event, wheel buckets then overflow,
-// by walking the engine's storage directly.
-func queueEvents(e *Engine) []event {
-	var evs []event
+// by walking the engine's storage directly. A wheel slot's time is
+// implied by its bucket: the one time in [now, now+wheelSize) that
+// maps to it.
+func queueEvents(e *Engine) []queued {
+	var evs []queued
 	for k := range e.wheel {
 		if e.occ[k>>6]&(1<<(k&63)) == 0 {
 			continue
 		}
+		at := e.now + Time((k-int(e.now))&wheelMask)
 		for i := e.wheel[k].head; i != 0; i = e.slots[i].next {
-			evs = append(evs, e.slots[i])
+			evs = append(evs, queued{at: at, id: e.slots[i].id})
 		}
 	}
-	return append(evs, e.over...)
+	for _, ev := range e.over {
+		evs = append(evs, queued{at: ev.at, id: ev.id})
+	}
+	return evs
 }
 
-// checkReleased fails if any vacated slot — a free wheel slot, slot 0,
-// or the overflow heap's spare capacity — still holds a callback.
+// checkReleased fails if a wheel slot leaked out of both the queue and
+// the free list, or if the closure table retains a callback that is
+// not pending: every freed entry must be nil, and every pending At
+// event must name a live one.
 func checkReleased(t *testing.T, e *Engine, step string) {
 	t.Helper()
 	free := map[int32]bool{0: true}
 	for i := e.free; i != 0; i = e.slots[i].next {
 		free[i] = true
 	}
-	inWheel := len(queueEvents(e)) - len(e.over)
+	evs := queueEvents(e)
+	inWheel := len(evs) - len(e.over)
 	if len(e.slots) > 0 && len(free)+inWheel != len(e.slots) {
 		t.Fatalf("%s: %d slots, %d free, %d pending in the wheel: a slot leaked",
 			step, len(e.slots), len(free), inWheel)
 	}
-	for i := range e.slots {
-		if s := &e.slots[i]; free[int32(i)] && (s.fn != nil || s.h != nil) {
-			t.Fatalf("%s: free wheel slot %d retains a callback", step, i)
+	for _, i := range e.fnFree {
+		if e.fns[i] != nil {
+			t.Fatalf("%s: freed closure entry %d retains a callback", step, i)
 		}
 	}
-	spare := e.over[len(e.over):cap(e.over)]
-	for i := range spare {
-		if spare[i].fn != nil || spare[i].h != nil {
-			t.Fatalf("%s: vacated overflow slot %d retains a callback", step, len(e.over)+i)
+	pendingAt := 0
+	for _, ev := range evs {
+		if ev.id < 0 {
+			pendingAt++
+			if e.fns[^ev.id] == nil {
+				t.Fatalf("%s: pending At event names cleared entry %d", step, ^ev.id)
+			}
 		}
+	}
+	if live := len(e.fns) - len(e.fnFree); live != pendingAt {
+		t.Fatalf("%s: %d closure entries in use, %d At events pending", step, live, pendingAt)
 	}
 }
 
 // TestEnginePopReleasesSlot pins the fix for the old eventHeap.Pop
-// memory retention: after an event runs, neither its wheel slot nor
-// its overflow-heap slot may keep the callback alive, mid-run or after
-// the queue drains.
+// memory retention: after an event runs, its wheel slot returns to the
+// free list and its closure, if any, leaves the side table, mid-run
+// and after the queue drains.
 func TestEnginePopReleasesSlot(t *testing.T) {
 	var e Engine
 	rng := NewRand(7)
+	id := e.Register(idHandler{f: func() {}})
 	for i := 0; i < 64; i++ {
 		e.At(mixedDelta(rng), func() {})
-		e.Schedule(mixedDelta(rng), idHandler{f: func() {}})
+		e.Schedule(mixedDelta(rng), id)
 	}
 	if len(e.over) == 0 || len(e.slots) == 0 {
 		t.Fatalf("schedule filled %d wheel slots and %d overflow slots, want both", len(e.slots), len(e.over))
@@ -394,18 +416,141 @@ func TestEnginePopReleasesSlot(t *testing.T) {
 		checkReleased(t, &e, "mid-run")
 	}
 	checkReleased(t, &e, "drained")
+	if len(e.fnFree) != len(e.fns) {
+		t.Fatalf("drained: %d of %d closure entries free", len(e.fnFree), len(e.fns))
+	}
+}
+
+// TestAtReleasesClosure: a fired At closure's table entry is cleared
+// before it runs and reused by the next At, so the table never grows
+// past the peak number of pending closures.
+func TestAtReleasesClosure(t *testing.T) {
+	var e Engine
+	rng := NewRand(11)
+	peak, ran := 0, 0
+	var fire func()
+	fire = func() {
+		ran++
+		for _, i := range e.fnFree {
+			if e.fns[i] != nil {
+				t.Fatalf("fired closure's entry %d still set", i)
+			}
+		}
+		if ran < 2000 && rng.Intn(4) > 0 {
+			e.After(mixedDelta(rng), fire)
+		}
+		if ran < 2000 && rng.Intn(4) == 0 {
+			e.After(mixedDelta(rng), fire)
+		}
+		if p := e.Pending(); p > peak {
+			peak = p
+		}
+	}
+	for i := 0; i < 20; i++ {
+		e.At(mixedDelta(rng), fire)
+	}
+	peak = e.Pending()
+	e.Run(0)
+	if ran < 100 {
+		t.Fatalf("only %d closures ran", ran)
+	}
+	if len(e.fns) > peak {
+		t.Fatalf("closure table grew to %d entries, peak pending closures %d", len(e.fns), peak)
+	}
+	for i, fn := range e.fns {
+		if fn != nil {
+			t.Fatalf("drained engine retains closure entry %d", i)
+		}
+	}
+}
+
+// TestOverflowFirstOnTie: events due at T that went to the overflow
+// heap fire before wheel events due at T scheduled later, in (time,
+// seq) order, including wheel events scheduled at now+0 from inside
+// Fire once the engine has reached T.
+func TestOverflowFirstOnTie(t *testing.T) {
+	var e Engine
+	const T = 3 * wheelSize
+	var got []string
+	mark := func(s string) func() { return func() { got = append(got, s) } }
+	e.At(T, mark("over1"))
+	e.Schedule(T, e.Register(idHandler{f: mark("over2")}))
+	e.At(T, func() {
+		got = append(got, "over3")
+		e.At(e.Now(), mark("zero1"))
+		e.Schedule(e.Now(), e.Register(idHandler{f: mark("zero2")}))
+	})
+	if len(e.over) != 3 {
+		t.Fatalf("%d events in the overflow heap, want 3", len(e.over))
+	}
+	// Advance into the wheel's range of T and schedule wheel events
+	// due at T.
+	e.At(T-wheelSize+1, func() {
+		e.At(T, mark("wheel1"))
+		e.Schedule(T, e.Register(idHandler{f: mark("wheel2")}))
+		if len(e.over) != 3 {
+			t.Errorf("wheel events at T went to the overflow heap")
+		}
+	})
+	e.Run(0)
+	want := []string{"over1", "over2", "over3", "wheel1", "wheel2", "zero1", "zero2"}
+	if len(got) != len(want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("fired %v, want %v", got, want)
+		}
+	}
+}
+
+// allocHandler reschedules itself a few pclocks ahead.
+type allocHandler struct {
+	e  *Engine
+	id HandlerID
+}
+
+func (h *allocHandler) Fire(t Time) { h.e.Schedule(t+3, h.id) }
+
+// TestEngineSteadyStateAllocs: once the slot pool, the closure table
+// and its free list have grown, the Schedule/fire and At/fire cycles
+// allocate nothing. CI runs no benchmarks, so this plain test guards
+// the 0 allocs/op the engine benchmarks report.
+func TestEngineSteadyStateAllocs(t *testing.T) {
+	var e Engine
+	hs := make([]allocHandler, 64)
+	for i := range hs {
+		hs[i] = allocHandler{e: &e}
+		hs[i].id = e.Register(&hs[i])
+		e.Schedule(Time(i), hs[i].id)
+	}
+	e.Run(1000)
+	if a := testing.AllocsPerRun(100, func() { e.Run(64) }); a != 0 {
+		t.Errorf("Schedule/fire cycle: %v allocs per 64 events, want 0", a)
+	}
+
+	var c Engine
+	var fire func()
+	fire = func() { c.After(3, fire) }
+	for i := 0; i < 64; i++ {
+		c.At(Time(i), fire)
+	}
+	c.Run(1000)
+	if a := testing.AllocsPerRun(100, func() { c.Run(64) }); a != 0 {
+		t.Errorf("At/fire cycle: %v allocs per 64 events, want 0", a)
+	}
 }
 
 // TestScheduleHandlerInterleavesWithAt verifies At and Schedule share
-// one insertion-sequence counter: same-time events fire in call order
-// regardless of which form scheduled them.
+// one queue: same-time events fire in call order regardless of which
+// form scheduled them.
 func TestScheduleHandlerInterleavesWithAt(t *testing.T) {
 	var e Engine
 	var got []int
 	for i := 0; i < 50; i++ {
 		i := i
 		if i%3 == 0 {
-			e.Schedule(7, idHandler{f: func() { got = append(got, i) }})
+			e.Schedule(7, e.Register(idHandler{f: func() { got = append(got, i) }}))
 		} else {
 			e.At(7, func() { got = append(got, i) })
 		}
@@ -428,7 +573,7 @@ func TestSchedulePanicsOnPastEvent(t *testing.T) {
 				t.Error("Schedule in the past did not panic")
 			}
 		}()
-		e.Schedule(5, idHandler{f: func() {}})
+		e.Schedule(5, e.Register(idHandler{f: func() {}}))
 	})
 	e.Run(0)
 }
