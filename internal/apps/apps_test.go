@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"runtime"
 	"testing"
 
 	"prefetchsim/internal/analysis"
@@ -108,6 +109,35 @@ func runTiny(t *testing.T, name string) (*machine.Machine, analysis.Result) {
 	}
 	p.Stop()
 	return m, analysis.Analyze(col.Misses())
+}
+
+// TestPaperProgramsAreGoroutineFree pins how the paper applications
+// produce their streams: every stream is a resumable generator driven
+// on the consumer's goroutine, so building and draining all six
+// programs starts no goroutine.
+func TestPaperProgramsAreGoroutineFree(t *testing.T) {
+	before := runtime.NumGoroutine()
+	progs := make([]*trace.Program, 0, len(Names()))
+	for _, name := range Names() {
+		p := tinyProgram(t, name)
+		for i, s := range p.Streams {
+			if _, ok := s.(*trace.FuncStream); !ok {
+				t.Errorf("%s stream %d is a %T, want *trace.FuncStream", name, i, s)
+			}
+		}
+		progs = append(progs, p)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("building the paper programs started %d goroutines", n-before)
+	}
+	for _, p := range progs {
+		if _, err := workload.Validate(p, tiny().Procs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("draining the paper programs started %d goroutines", n-before)
+	}
 }
 
 func TestAllProgramsRunToCompletion(t *testing.T) {

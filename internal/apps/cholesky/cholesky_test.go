@@ -3,7 +3,9 @@ package cholesky
 import (
 	"testing"
 
+	"prefetchsim/internal/apps/apptest"
 	"prefetchsim/internal/apps/workload"
+	"prefetchsim/internal/mem"
 	"prefetchsim/internal/trace"
 )
 
@@ -84,4 +86,65 @@ func TestUpdatesAreDeterministicPerPair(t *testing.T) {
 			t.Fatalf("op %d differs", i)
 		}
 	}
+}
+
+// oracle is Cholesky's generator as it ran before the resumable port:
+// a straight-line body in a producer goroutine per processor, over the
+// same panel layout.
+func oracle(c Config) *trace.Program {
+	c.Params = c.Params.Norm()
+	P, S := c.Procs, c.Supernodes
+	l := newLayout(c)
+	panels, panelBytes := l.panels, l.panelBytes
+	return workload.Build("Cholesky-oracle", P, func(p int, g *workload.Gen) {
+		for s := 0; s < S; s++ {
+			if s%P == p {
+				for off := 0; off < panelBytes[s]; off += workload.WordBytes {
+					g.Read(pcFacR, panels[s]+mem.Addr(off), 1)
+					g.Write(pcFacW, panels[s]+mem.Addr(off), 2)
+				}
+			}
+			g.Barrier()
+			for _, t := range l.updates(s, nil) {
+				if t%P != p {
+					continue
+				}
+				off, length := l.rangeFor(s, t)
+				tOff, tLen := l.rangeFor(t, s)
+				if tOff+tLen > panelBytes[t] {
+					tOff, tLen = 0, panelBytes[t]
+				}
+				for o := 0; o < length; o += workload.WordBytes {
+					g.Read(pcSrcR, panels[s]+mem.Addr(off+o), 2)
+					to := tOff + o%tLen
+					g.Read(pcTgtR, panels[t]+mem.Addr(to), 2)
+					g.Write(pcTgtW, panels[t]+mem.Addr(to), 4)
+				}
+			}
+			g.Barrier()
+		}
+	})
+}
+
+// TestMatchesGoroutineOracle pins the resumable port to the goroutine
+// body it replaced, op for op on every stream, at the paper's
+// configuration (16 processors, scale 1) and at scale 2 (Table 4).
+func TestMatchesGoroutineOracle(t *testing.T) {
+	for _, p := range []workload.Params{
+		{Procs: 16, Scale: 1},
+		{Procs: 16, Scale: 2},
+		{Procs: 3, Scale: 1},
+	} {
+		c := DefaultConfig(p)
+		apptest.SameOps(t, New(c), oracle(c))
+	}
+}
+
+func TestResumptionIsSeamless(t *testing.T) {
+	c := DefaultConfig(workload.Params{Procs: 4})
+	apptest.SeamlessResumption(t, func() *trace.Program { return New(c) })
+}
+
+func TestRefillAllocatesNothing(t *testing.T) {
+	apptest.ZeroAllocRefill(t, New(DefaultConfig(workload.Params{Procs: 16})))
 }

@@ -3,6 +3,7 @@ package lu
 import (
 	"testing"
 
+	"prefetchsim/internal/apps/apptest"
 	"prefetchsim/internal/apps/workload"
 	"prefetchsim/internal/mem"
 	"prefetchsim/internal/trace"
@@ -54,7 +55,6 @@ func TestMatchesGoroutineOracle(t *testing.T) {
 	P, N := c.Procs, c.N
 
 	got := New(c)
-	defer got.Stop()
 
 	space := mem.NewSpace()
 	rowBytes := N * workload.WordBytes
@@ -86,19 +86,7 @@ func TestMatchesGoroutineOracle(t *testing.T) {
 		}
 		g.Barrier()
 	})
-	defer oracle.Stop()
-
-	for p := 0; p < P; p++ {
-		for n := 0; ; n++ {
-			want, op := oracle.Streams[p].Next(), got.Streams[p].Next()
-			if op != want {
-				t.Fatalf("stream %d op %d: got %+v, want %+v", p, n, op, want)
-			}
-			if op.Kind == trace.End {
-				break
-			}
-		}
-	}
+	apptest.SameOps(t, got, oracle)
 }
 
 func TestOnlyPivotOwnerDividesRow(t *testing.T) {

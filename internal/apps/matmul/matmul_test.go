@@ -3,6 +3,7 @@ package matmul
 import (
 	"testing"
 
+	"prefetchsim/internal/apps/apptest"
 	"prefetchsim/internal/apps/workload"
 	"prefetchsim/internal/mem"
 	"prefetchsim/internal/trace"
@@ -33,7 +34,6 @@ func TestMatchesGoroutineOracle(t *testing.T) {
 	w := workload.WordBytes
 
 	got := New(c)
-	defer got.Stop()
 
 	space := mem.NewSpace()
 	a := mem.NewArray(space, c.L, c.N*w, c.N*w)
@@ -51,54 +51,13 @@ func TestMatchesGoroutineOracle(t *testing.T) {
 			}
 		}
 	})
-	defer oracle.Stop()
-
-	for p := 0; p < c.Procs; p++ {
-		for n := 0; ; n++ {
-			want, op := oracle.Streams[p].Next(), got.Streams[p].Next()
-			if op != want {
-				t.Fatalf("stream %d op %d: got %+v, want %+v", p, n, op, want)
-			}
-			if op.Kind == trace.End {
-				break
-			}
-		}
-	}
+	apptest.SameOps(t, got, oracle)
 }
 
-// TestResumptionIsSeamless drains the same program through NextBatch
-// with deliberately tiny refills (Next-driven single-op pulls) and in
-// whole batches, checking the state machine suspends and resumes at
-// arbitrary buffer boundaries without perturbing the sequence.
+// TestResumptionIsSeamless drains the program per op and by mixing
+// NextBatch with Next, checking the state machine suspends and resumes
+// at arbitrary buffer boundaries without perturbing the sequence.
 func TestResumptionIsSeamless(t *testing.T) {
 	c := Config{Params: workload.Params{Procs: 2}, L: 4, M: 5, N: 6}
-	perOp, batched := New(c), New(c)
-	defer perOp.Stop()
-	defer batched.Stop()
-	for p := range perOp.Streams {
-		bs := batched.Streams[p].(trace.BatchStream)
-		var batch []trace.Op
-		bi := 0
-		for n := 0; ; n++ {
-			want := perOp.Streams[p].Next()
-			for bi >= len(batch) {
-				if batch != nil {
-					bs.Recycle(batch)
-				}
-				batch = bs.NextBatch()
-				bi = 0
-				if batch == nil {
-					batch = []trace.Op{{Kind: trace.End}}
-				}
-			}
-			op := batch[bi]
-			bi++
-			if op != want {
-				t.Fatalf("stream %d op %d: got %+v, want %+v", p, n, op, want)
-			}
-			if want.Kind == trace.End {
-				break
-			}
-		}
-	}
+	apptest.SeamlessResumption(t, func() *trace.Program { return New(c) })
 }

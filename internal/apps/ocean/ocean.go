@@ -64,7 +64,10 @@ func DefaultConfig(p workload.Params) Config {
 	return Config{Params: p, N: n, Iters: 18}
 }
 
-// New builds the Ocean program.
+// New builds the Ocean program. The generator is a resumable state
+// machine (workload.BuildFunc): a first-touch phase, then per iteration
+// a ghost-zone refresh, the interior sweep and a barrier, suspended on
+// the phase tag plus the loop indices.
 func New(c Config) *trace.Program {
 	c.Params = c.Params.Norm()
 	P, N := c.Procs, c.N
@@ -85,64 +88,131 @@ func New(c Config) *trace.Program {
 		mem.NewArray(space, N+2, rowBytes, rowBytes),
 		mem.NewArray(space, N+2, rowBytes, rowBytes),
 	}
-	at := func(gr, i, j int) mem.Addr { return grids[gr].At(i, j*workload.WordBytes) }
-
-	return workload.Build(fmt.Sprintf("Ocean-%dx%d", N, N), P, func(p int, g *workload.Gen) {
+	return workload.BuildFunc(fmt.Sprintf("Ocean-%dx%d", N, N), P, func(p int) workload.Filler {
 		pr, pc := p/side, p%side
 		i0, j0 := 1+pr*sub, 1+pc*sub // interior coordinates are 1-based
-		i1, j1 := i0+sub-1, j0+sub-1
+		return &gen{grids: grids, iters: c.Iters, i0: i0, j0: j0,
+			i1: i0 + sub - 1, j1: j0 + sub - 1, i: i0, j: j0}
+	})
+}
 
-		// First touch of my subgrid in both phases.
-		for gr := 0; gr < 2; gr++ {
-			for i := i0; i <= i1; i++ {
-				for j := j0; j <= j1; j++ {
-					g.Write(pcStore, at(gr, i, j), 1)
+// Phases of the program.
+const (
+	phTouch   uint8 = iota // first touch of my subgrid in both grids
+	phTouched              // barrier after the first touch
+	phGhost                // ghost-zone refresh of iteration it
+	phSweep                // interior stencil sweep
+	phIterEnd              // barrier closing iteration it
+)
+
+// gen is one processor's generator over the subgrid [i0,i1]×[j0,j1].
+type gen struct {
+	grids          [2]mem.Array
+	iters          int
+	i0, j0, i1, j1 int
+	phase          uint8
+	it             int // solver iteration
+	src            int // grid read this iteration; 1-src is written
+	gr             int // first-touch grid
+	ghost          int // ghost side: north, south, west, east
+	i, j, k        int
+}
+
+func (s *gen) at(gr, i, j int) mem.Addr { return s.grids[gr].At(i, j*workload.WordBytes) }
+
+// ghostRead returns the k-th read of ghost side side: the neighbours'
+// boundary cells, rewritten by them every iteration, copied privately.
+func (s *gen) ghostRead(side, k int) (trace.PC, mem.Addr, uint32) {
+	switch side {
+	case 0:
+		return pcGhostN, s.at(s.src, s.i0-1, s.j0+k), 2
+	case 1:
+		return pcGhostS, s.at(s.src, s.i1+1, s.j0+k), 2
+	case 2:
+		return pcGhostW, s.at(s.src, s.i0+k, s.j0-1), 6
+	}
+	return pcGhostE, s.at(s.src, s.i0+k, s.j1+1), 6
+}
+
+// Fill resumes exactly where the previous buffer filled up.
+func (s *gen) Fill(g *workload.FuncGen) bool {
+	i0, j0, i1, j1 := s.i0, s.j0, s.i1, s.j1
+	for {
+		switch s.phase {
+		case phTouch:
+			for ; s.gr < 2; s.gr++ {
+				for ; s.i <= i1; s.i++ {
+					for ; s.j <= j1; s.j++ {
+						if !g.Room(1) {
+							return false
+						}
+						g.Write(pcStore, s.at(s.gr, s.i, s.j), 1)
+					}
+					s.j = j0
 				}
+				s.i = i0
 			}
-		}
-		g.Barrier()
-
-		src, dst := 0, 1
-		for it := 0; it < c.Iters; it++ {
-			// Ghost-zone refresh: read the neighbours' boundary cells
-			// (rewritten by them every iteration) into private copies.
-			for j := j0; j <= j1; j++ {
-				g.Read(pcGhostN, at(src, i0-1, j), 2)
+			s.phase = phTouched
+		case phTouched:
+			if !g.Room(1) {
+				return false
 			}
-			for j := j0; j <= j1; j++ {
-				g.Read(pcGhostS, at(src, i1+1, j), 2)
+			g.Barrier()
+			s.phase = phGhost
+		case phGhost:
+			if s.it >= s.iters {
+				return true
 			}
-			for i := i0; i <= i1; i++ {
-				g.Read(pcGhostW, at(src, i, j0-1), 6)
+			for ; s.ghost < 4; s.ghost++ {
+				for ; s.k <= i1-i0; s.k++ {
+					if !g.Room(1) {
+						return false
+					}
+					g.Read(s.ghostRead(s.ghost, s.k))
+				}
+				s.k = 0
 			}
-			for i := i0; i <= i1; i++ {
-				g.Read(pcGhostE, at(src, i, j1+1), 6)
-			}
-
+			s.ghost = 0
+			s.i, s.j = i0, j0
+			s.phase = phSweep
+		case phSweep:
 			// Interior stencil sweep; edge points use the private ghost
 			// copies, so only own-subgrid cells are referenced.
-			for i := i0; i <= i1; i++ {
-				for j := j0; j <= j1; j++ {
+			src, dst := s.src, 1-s.src
+			for ; s.i <= i1; s.i++ {
+				for ; s.j <= j1; s.j++ {
+					if !g.Room(6) {
+						return false
+					}
+					i, j := s.i, s.j
 					if i > i0 {
-						g.Read(pcNorth, at(src, i-1, j), 1)
+						g.Read(pcNorth, s.at(src, i-1, j), 1)
 					}
 					if i < i1 {
-						g.Read(pcSouth, at(src, i+1, j), 1)
+						g.Read(pcSouth, s.at(src, i+1, j), 1)
 					}
 					if j > j0 {
-						g.Read(pcWest, at(src, i, j-1), 1)
+						g.Read(pcWest, s.at(src, i, j-1), 1)
 					}
 					if j < j1 {
-						g.Read(pcEast, at(src, i, j+1), 1)
+						g.Read(pcEast, s.at(src, i, j+1), 1)
 					}
-					g.Read(pcCenter, at(src, i, j), 1)
-					g.Write(pcStore, at(dst, i, j), 4) // stencil arithmetic
+					g.Read(pcCenter, s.at(src, i, j), 1)
+					g.Write(pcStore, s.at(dst, i, j), 4) // stencil arithmetic
 				}
+				s.j = j0
 			}
-			src, dst = dst, src
+			s.phase = phIterEnd
+		case phIterEnd:
+			if !g.Room(1) {
+				return false
+			}
 			g.Barrier()
+			s.src = 1 - s.src
+			s.it++
+			s.phase = phGhost
 		}
-	})
+	}
 }
 
 // StrideHints returns the compile-time-known strides of Ocean's

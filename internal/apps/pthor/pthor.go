@@ -66,26 +66,57 @@ func DefaultConfig(p workload.Params) Config {
 	return Config{Params: p, Gates: 3000 * p.Scale, Steps: 220}
 }
 
-// New builds the PTHOR program.
+// New builds the PTHOR program. The generator is a resumable state
+// machine (workload.BuildFunc): per step it collects and shuffles its
+// active gates, replays them, and closes with a barrier, suspended on
+// the step and task indices. The task list and the shuffle RNG are
+// created on the first Fill so building the program stays cheap.
 func New(c Config) *trace.Program {
 	c.Params = c.Params.Norm()
 	P, G := c.Procs, c.Gates
 	if G < 4*P {
 		panic(fmt.Sprintf("pthor: %d gates too few for %d processors", G, P))
 	}
+	ck := newCircuit(c)
+	space := mem.NewSpace()
+	gates := mem.NewArray(space, G, gateBytes, gateBytes)
+	chunk := (G + P - 1) / P
 
-	// Build the synthetic circuit.
+	return workload.BuildFunc(fmt.Sprintf("PTHOR-%dg", G), P, func(p int) workload.Filler {
+		lo, hi := int32(p*chunk), int32((p+1)*chunk)
+		if hi > int32(G) {
+			hi = int32(G)
+		}
+		return &gen{ck: ck, gates: gates, seed: c.Seed, p: p, lo: lo, hi: hi}
+	})
+}
+
+// circuit is the synthetic netlist and its precomputed activity,
+// shared read-only by every processor's generator.
+type circuit struct {
+	in1, in2 []int32
+	fanout   [][]int32
+	active   [][]int32 // per step, ascending gate ids
+	changed  [][]bool  // parallel to active: did the output flip?
+}
+
+func newCircuit(c Config) *circuit {
+	G := c.Gates
 	rng := sim.NewRand(c.Seed*6364136223846793005 + 1442695040888963407)
-	in1 := make([]int32, G)
-	in2 := make([]int32, G)
+	ck := &circuit{
+		in1:     make([]int32, G),
+		in2:     make([]int32, G),
+		fanout:  make([][]int32, G),
+		active:  make([][]int32, c.Steps),
+		changed: make([][]bool, c.Steps),
+	}
 	isXor := make([]bool, G)
-	fanout := make([][]int32, G)
 	for gi := 0; gi < G; gi++ {
 		a, b := int32(rng.Intn(G)), int32(rng.Intn(G))
-		in1[gi], in2[gi] = a, b
+		ck.in1[gi], ck.in2[gi] = a, b
 		isXor[gi] = rng.Intn(2) == 0
-		fanout[a] = append(fanout[a], int32(gi))
-		fanout[b] = append(fanout[b], int32(gi))
+		ck.fanout[a] = append(ck.fanout[a], int32(gi))
+		ck.fanout[b] = append(ck.fanout[b], int32(gi))
 	}
 
 	// Evaluate the circuit synchronously to derive the per-step active
@@ -94,9 +125,7 @@ func New(c Config) *trace.Program {
 	for gi := range out {
 		out[gi] = rng.Intn(2) == 0
 	}
-	active := make([][]int32, c.Steps) // per step, ascending gate ids
-	changed := make([][]bool, c.Steps) // parallel: did the output flip?
-	cur := make([]bool, G)             // active this step
+	cur := make([]bool, G) // active this step
 	next := make([]bool, G)
 	for gi := range cur {
 		cur[gi] = rng.Intn(4) == 0 // ~25% initially stimulated
@@ -108,8 +137,8 @@ func New(c Config) *trace.Program {
 			if !cur[gi] {
 				continue
 			}
-			active[step] = append(active[step], int32(gi))
-			a, b := out[in1[gi]], out[in2[gi]]
+			ck.active[step] = append(ck.active[step], int32(gi))
+			a, b := out[ck.in1[gi]], out[ck.in2[gi]]
 			var v bool
 			if isXor[gi] {
 				v = a != b
@@ -117,10 +146,10 @@ func New(c Config) *trace.Program {
 				v = !(a && b)
 			}
 			flip := v != out[gi]
-			changed[step] = append(changed[step], flip)
+			ck.changed[step] = append(ck.changed[step], flip)
 			if flip {
 				newOut[gi] = v
-				for _, succ := range fanout[gi] {
+				for _, succ := range ck.fanout[gi] {
 					next[succ] = true
 				}
 			}
@@ -131,62 +160,97 @@ func New(c Config) *trace.Program {
 			next[gi] = false
 		}
 	}
+	return ck
+}
 
-	space := mem.NewSpace()
-	gates := mem.NewArray(space, G, gateBytes, gateBytes)
-	chunk := (G + P - 1) / P
+// task is one activation of one of my gates.
+type task struct {
+	gi   int32
+	flip bool
+}
 
-	return workload.Build(fmt.Sprintf("PTHOR-%dg", G), P, func(p int, g *workload.Gen) {
-		lo, hi := int32(p*chunk), int32((p+1)*chunk)
-		if hi > int32(G) {
-			hi = int32(G)
-		}
-		order := sim.NewRand(c.Seed*31 + uint64(p)*7919 + 3)
-		for step := 0; step < c.Steps; step++ {
+// maxTaskOps bounds one activation's ops: seven reads, the output write
+// and at most four successor-scheduling writes.
+const maxTaskOps = 7 + 1 + 4
+
+// gen is one processor's generator over gates [lo, hi).
+type gen struct {
+	ck     *circuit
+	gates  mem.Array
+	seed   uint64
+	p      int
+	lo, hi int32
+	// mine and order are created by the first Fill.
+	mine      []task
+	order     sim.Rand
+	step      int
+	collected bool // mine holds this step's shuffled tasks
+	t         int  // next entry of mine
+}
+
+// Fill resumes where the previous buffer filled up. Each step's
+// shuffle draws happen once, when its tasks are collected, so a yield
+// never replays them.
+func (s *gen) Fill(g *workload.FuncGen) bool {
+	if s.mine == nil {
+		s.order = *sim.NewRand(s.seed*31 + uint64(s.p)*7919 + 3)
+		// A gate activates at most once per step; the last
+		// processors' ranges may be empty (lo > hi).
+		s.mine = make([]task, 0, max(int(s.hi-s.lo), 0))
+	}
+	ck, gates := s.ck, s.gates
+	for ; s.step < len(ck.active); s.step++ {
+		if !s.collected {
 			// Collect my active gates, then process them in event-queue
 			// order (the original's pending-event list is not sorted by
 			// gate id; an ascending walk would fabricate strides).
-			type task struct {
-				gi   int32
-				flip bool
-			}
-			var mine []task
-			for ai, gi := range active[step] {
-				if gi >= lo && gi < hi {
-					mine = append(mine, task{gi: gi, flip: changed[step][ai]})
+			s.mine = s.mine[:0]
+			for ai, gi := range ck.active[s.step] {
+				if gi >= s.lo && gi < s.hi {
+					s.mine = append(s.mine, task{gi: gi, flip: ck.changed[s.step][ai]})
 				}
 			}
-			for i := len(mine) - 1; i > 0; i-- {
-				j := order.Intn(i + 1)
-				mine[i], mine[j] = mine[j], mine[i]
+			for i := len(s.mine) - 1; i > 0; i-- {
+				j := s.order.Intn(i + 1)
+				s.mine[i], s.mine[j] = s.mine[j], s.mine[i]
 			}
-			for _, tk := range mine {
-				gid := int(tk.gi)
-				// Dequeue: read scheduling state (written by the
-				// predecessor that activated us), then our own record.
-				g.Read(pcSchedR, gates.At(gid, offSched), 2)
-				g.Read(pcSelf, gates.At(gid, offOut), 2)
-				g.Read(pcStateR, gates.At(gid, offState), 1)
-				g.Read(pcPtr, gates.At(gid, offIn), 1)
-				g.Read(pcPtr, gates.At(gid, offIn+8), 1)
-				// Chase the input pointers: scattered reads.
-				g.Read(pcIn, gates.At(int(in1[gid]), offOut), 4)
-				g.Read(pcIn, gates.At(int(in2[gid]), offOut), 4)
-				// Evaluate; publish and schedule successors only when
-				// the output flipped (bounded fanout walk).
-				if tk.flip {
-					g.Write(pcOutW, gates.At(gid, offOut), 3)
-					for fi, succ := range fanout[gid] {
-						if fi == 4 {
-							break
-						}
-						g.Write(pcSchedW, gates.At(int(succ), offSched), 2)
-					}
-				}
-			}
-			g.Barrier()
+			s.collected, s.t = true, 0
 		}
-	})
+		for ; s.t < len(s.mine); s.t++ {
+			if !g.Room(maxTaskOps) {
+				return false
+			}
+			tk := s.mine[s.t]
+			gid := int(tk.gi)
+			// Dequeue: read scheduling state (written by the
+			// predecessor that activated us), then our own record.
+			g.Read(pcSchedR, gates.At(gid, offSched), 2)
+			g.Read(pcSelf, gates.At(gid, offOut), 2)
+			g.Read(pcStateR, gates.At(gid, offState), 1)
+			g.Read(pcPtr, gates.At(gid, offIn), 1)
+			g.Read(pcPtr, gates.At(gid, offIn+8), 1)
+			// Chase the input pointers: scattered reads.
+			g.Read(pcIn, gates.At(int(ck.in1[gid]), offOut), 4)
+			g.Read(pcIn, gates.At(int(ck.in2[gid]), offOut), 4)
+			// Evaluate; publish and schedule successors only when the
+			// output flipped (bounded fanout walk).
+			if tk.flip {
+				g.Write(pcOutW, gates.At(gid, offOut), 3)
+				for fi, succ := range ck.fanout[gid] {
+					if fi == 4 {
+						break
+					}
+					g.Write(pcSchedW, gates.At(int(succ), offSched), 2)
+				}
+			}
+		}
+		if !g.Room(1) {
+			return false
+		}
+		g.Barrier()
+		s.collected = false
+	}
+	return true
 }
 
 // StrideHints returns an empty table: PTHOR's accesses are

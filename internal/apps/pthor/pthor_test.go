@@ -3,8 +3,10 @@ package pthor
 import (
 	"testing"
 
+	"prefetchsim/internal/apps/apptest"
 	"prefetchsim/internal/apps/workload"
 	"prefetchsim/internal/mem"
+	"prefetchsim/internal/sim"
 	"prefetchsim/internal/trace"
 )
 
@@ -89,4 +91,82 @@ func TestInputPointerChasingIsScattered(t *testing.T) {
 	if frac := float64(runs) / float64(len(addrs)); frac > 0.05 {
 		t.Fatalf("%.1f%% of input reads are equidistant; pointer chasing should be scattered", 100*frac)
 	}
+}
+
+// oracle is PTHOR's generator as it ran before the resumable port: a
+// straight-line body in a producer goroutine per processor, over the
+// same circuit.
+func oracle(c Config) *trace.Program {
+	c.Params = c.Params.Norm()
+	P, G := c.Procs, c.Gates
+	ck := newCircuit(c)
+	in1, in2, fanout, active, changed := ck.in1, ck.in2, ck.fanout, ck.active, ck.changed
+	space := mem.NewSpace()
+	gates := mem.NewArray(space, G, gateBytes, gateBytes)
+	chunk := (G + P - 1) / P
+	return workload.Build("PTHOR-oracle", P, func(p int, g *workload.Gen) {
+		lo, hi := int32(p*chunk), int32((p+1)*chunk)
+		if hi > int32(G) {
+			hi = int32(G)
+		}
+		order := sim.NewRand(c.Seed*31 + uint64(p)*7919 + 3)
+		for step := 0; step < c.Steps; step++ {
+			var mine []task
+			for ai, gi := range active[step] {
+				if gi >= lo && gi < hi {
+					mine = append(mine, task{gi: gi, flip: changed[step][ai]})
+				}
+			}
+			for i := len(mine) - 1; i > 0; i-- {
+				j := order.Intn(i + 1)
+				mine[i], mine[j] = mine[j], mine[i]
+			}
+			for _, tk := range mine {
+				gid := int(tk.gi)
+				g.Read(pcSchedR, gates.At(gid, offSched), 2)
+				g.Read(pcSelf, gates.At(gid, offOut), 2)
+				g.Read(pcStateR, gates.At(gid, offState), 1)
+				g.Read(pcPtr, gates.At(gid, offIn), 1)
+				g.Read(pcPtr, gates.At(gid, offIn+8), 1)
+				g.Read(pcIn, gates.At(int(in1[gid]), offOut), 4)
+				g.Read(pcIn, gates.At(int(in2[gid]), offOut), 4)
+				if tk.flip {
+					g.Write(pcOutW, gates.At(gid, offOut), 3)
+					for fi, succ := range fanout[gid] {
+						if fi == 4 {
+							break
+						}
+						g.Write(pcSchedW, gates.At(int(succ), offSched), 2)
+					}
+				}
+			}
+			g.Barrier()
+		}
+	})
+}
+
+// TestMatchesGoroutineOracle pins the resumable port to the goroutine
+// body it replaced, op for op on every stream, at the paper's
+// configuration (16 processors, scale 1), at scale 2 (Table 4) and
+// under several seeds.
+func TestMatchesGoroutineOracle(t *testing.T) {
+	for _, p := range []workload.Params{
+		{Procs: 16, Scale: 1, Seed: 1},
+		{Procs: 16, Scale: 1, Seed: 2},
+		{Procs: 16, Scale: 2, Seed: 1},
+		{Procs: 3, Scale: 1, Seed: 5},
+	} {
+		c := DefaultConfig(p)
+		apptest.SameOps(t, New(c), oracle(c))
+	}
+}
+
+func TestResumptionIsSeamless(t *testing.T) {
+	c := DefaultConfig(workload.Params{Procs: 4, Seed: 3})
+	c.Steps = 40
+	apptest.SeamlessResumption(t, func() *trace.Program { return New(c) })
+}
+
+func TestRefillAllocatesNothing(t *testing.T) {
+	apptest.ZeroAllocRefill(t, New(DefaultConfig(workload.Params{Procs: 16, Seed: 1})))
 }

@@ -78,7 +78,10 @@ func DefaultConfig(p workload.Params) Config {
 	return Config{Params: p, Molecules: 288 * p.Scale, Steps: 4}
 }
 
-// New builds the Water program.
+// New builds the Water program. The generator is a resumable state
+// machine (workload.BuildFunc): each time step is a fixed phase
+// sequence — predict, barrier, forces, merge tail, barrier, correct,
+// barrier — suspended on the phase tag plus the loop indices.
 func New(c Config) *trace.Program {
 	c.Params = c.Params.Norm()
 	P, N := c.Procs, c.Molecules
@@ -91,18 +94,62 @@ func New(c Config) *trace.Program {
 	lockVars := mem.NewArray(space, N, mem.BlockBytes, mem.BlockBytes)
 
 	chunk := (N + P - 1) / P
-	return workload.Build(fmt.Sprintf("Water-%d", N), P, func(p int, g *workload.Gen) {
+	return workload.BuildFunc(fmt.Sprintf("Water-%d", N), P, func(p int) workload.Filler {
 		lo := p * chunk
 		hi := lo + chunk
 		if hi > N {
 			hi = N
 		}
+		return &gen{mol: mol, lockVars: lockVars, n: N, steps: c.Steps,
+			lo: lo, hi: hi, i: lo}
+	})
+}
 
-		for step := 0; step < c.Steps; step++ {
-			// Predict: integrate my molecules' predictor state and
-			// publish new positions (private except for the position
-			// blocks other processors read).
-			for i := lo; i < hi; i++ {
+// Phases of one time step.
+const (
+	phPredict   uint8 = iota // integrate my molecules' predictor state
+	phPredicted              // barrier after predict
+	phForces                 // half-shell pair loop with eager merges
+	phTail                   // merges of the molecules still pending
+	phForced                 // barrier after the force phase
+	phCorrect                // update my molecules from the forces
+	phCorrected              // barrier closing the step
+)
+
+// Indivisible emission runs, in ops.
+const (
+	predictOps = 6 + 9 + 3 // predictor reads, position and center-of-mass writes
+	ownPosOps  = 9         // my molecule's position reads
+	pairOps    = 9 + 3     // a partner's position and center-of-mass reads
+	mergeOps   = 1 + 6 + 1 // lock, force read-modify-writes, unlock
+	correctOps = 3 * 3     // force read, velocity and derivative writes
+)
+
+// gen is one processor's generator over molecules [lo, hi).
+type gen struct {
+	mol, lockVars mem.Array
+	n, steps      int
+	lo, hi        int
+	step          int
+	phase         uint8
+	i             int // molecule of the predict, force or correct loop
+	d             int // pair distance; 0 = my position reads not yet emitted
+	k             int // merge-tail entry
+}
+
+// Fill resumes exactly where the previous buffer filled up.
+func (s *gen) Fill(g *workload.FuncGen) bool {
+	mol, N := s.mol, s.n
+	for s.step < s.steps {
+		switch s.phase {
+		case phPredict:
+			// Integrate and publish new positions (private except for
+			// the position blocks other processors read).
+			for ; s.i < s.hi; s.i++ {
+				if !g.Room(predictOps) {
+					return false
+				}
+				i := s.i
 				for w := 0; w < 3; w++ {
 					g.Read(pcPred, mol.At(i, offVel+w*workload.WordBytes), 2)
 					g.Read(pcPred, mol.At(i, offDer+w*workload.WordBytes), 2)
@@ -115,27 +162,35 @@ func New(c Config) *trace.Program {
 					g.Write(pcPredW, mol.At(i, offVm(w)), 2)
 				}
 			}
+			s.phase = phPredicted
+		case phPredicted:
+			if !g.Room(1) {
+				return false
+			}
 			g.Barrier()
-
+			s.i, s.d = s.lo, 0
+			s.phase = phForces
+		case phForces:
 			// Inter-molecular forces over the half shell. Forces
 			// accumulate into private partial arrays; a molecule's
 			// global force block is updated (under its lock) as soon as
 			// my last contribution to it is computed, as the original
 			// does.
-			merge := func(j int) {
-				g.Lock(lockVars.Elem(j))
-				for w := 0; w < 3; w++ {
-					g.Read(pcFrcJ+trace.PC(w), mol.At(j, offFrc(w)), 2)
-					g.Write(pcFrcJW+trace.PC(w), mol.At(j, offFrc(w)), 2)
+			for ; s.i < s.hi; s.i++ {
+				if s.d == 0 {
+					if !g.Room(ownPosOps) {
+						return false
+					}
+					for w := 0; w < 9; w++ {
+						g.Read(pcPosI+trace.PC(w), mol.At(s.i, offPos(w)), 1)
+					}
+					s.d = 1
 				}
-				g.Unlock(lockVars.Elem(j))
-			}
-			for i := lo; i < hi; i++ {
-				for w := 0; w < 9; w++ {
-					g.Read(pcPosI+trace.PC(w), mol.At(i, offPos(w)), 1)
-				}
-				for d := 1; d <= N/2; d++ {
-					j := (i + d) % N
+				for ; s.d <= N/2; s.d++ {
+					if !g.Room(pairOps) {
+						return false
+					}
+					j := (s.i + s.d) % N
 					// Nine member loads spanning record blocks 0-2 and
 					// the center-of-mass terms in block 3, with the
 					// pair-potential arithmetic interleaved.
@@ -147,29 +202,71 @@ func New(c Config) *trace.Program {
 					}
 				}
 				// My contributions to molecule i+1 are now complete.
-				if i+1 < hi {
-					merge(i + 1)
+				if s.i+1 < s.hi {
+					if !g.Room(mergeOps) {
+						return false
+					}
+					s.merge(g, s.i+1)
+				}
+				s.d = 0
+			}
+			s.k = 0
+			s.phase = phTail
+		case phTail:
+			// Molecules whose last contribution came from my final
+			// outer iteration, plus my own first molecule.
+			for ; s.k <= N/2; s.k++ {
+				if !g.Room(mergeOps) {
+					return false
+				}
+				if s.k == 0 {
+					s.merge(g, s.lo)
+				} else {
+					s.merge(g, (s.hi+s.k-1)%N)
 				}
 			}
-			// Tail: molecules whose last contribution came from my
-			// final outer iteration, plus my own first molecule.
-			merge(lo)
-			for k := 0; k < N/2; k++ {
-				merge((hi + k) % N)
+			s.phase = phForced
+		case phForced:
+			if !g.Room(1) {
+				return false
 			}
 			g.Barrier()
-
-			// Correct: update my molecules from the accumulated forces.
-			for i := lo; i < hi; i++ {
+			s.i = s.lo
+			s.phase = phCorrect
+		case phCorrect:
+			for ; s.i < s.hi; s.i++ {
+				if !g.Room(correctOps) {
+					return false
+				}
 				for w := 0; w < 3; w++ {
-					g.Read(pcCorr, mol.At(i, offFrc(w)), 2)
-					g.Write(pcCorrW, mol.At(i, offVel+w*workload.WordBytes), 2)
-					g.Write(pcCorrW, mol.At(i, offDer+w*workload.WordBytes), 2)
+					g.Read(pcCorr, mol.At(s.i, offFrc(w)), 2)
+					g.Write(pcCorrW, mol.At(s.i, offVel+w*workload.WordBytes), 2)
+					g.Write(pcCorrW, mol.At(s.i, offDer+w*workload.WordBytes), 2)
 				}
 			}
+			s.phase = phCorrected
+		case phCorrected:
+			if !g.Room(1) {
+				return false
+			}
 			g.Barrier()
+			s.i = s.lo
+			s.step++
+			s.phase = phPredict
 		}
-	})
+	}
+	return true
+}
+
+// merge adds my partial forces into molecule j's global force block
+// under its lock.
+func (s *gen) merge(g *workload.FuncGen, j int) {
+	g.Lock(s.lockVars.Elem(j))
+	for w := 0; w < 3; w++ {
+		g.Read(pcFrcJ+trace.PC(w), s.mol.At(j, offFrc(w)), 2)
+		g.Write(pcFrcJW+trace.PC(w), s.mol.At(j, offFrc(w)), 2)
+	}
+	g.Unlock(s.lockVars.Elem(j))
 }
 
 // StrideHints returns the compile-time-known strides of Water's pair

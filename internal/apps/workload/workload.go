@@ -1,8 +1,16 @@
-// Package workload provides the scaffolding shared by the six
+// Package workload provides the scaffolding shared by the
 // re-implemented applications: structured emission of shared-data
 // references (per 8-byte word, so the simulated FLC filters intra-block
 // locality exactly as a real one would), auto-numbered barriers, and a
 // program validator used by the application test suites.
+//
+// Every built-in application is a resumable generator (Filler, run by
+// BuildFunc): its stream is produced on the simulating goroutine,
+// straight into the op buffer the machine just recycled. Build and Gen
+// run a straight-line body in a producer goroutine (trace.ChanStream)
+// instead; they back only the public prefetchsim.NewProgram, whose
+// bodies are arbitrary user code, and serve the application tests as
+// the oracle each port is checked against.
 package workload
 
 import (
@@ -78,10 +86,11 @@ func (g *Gen) Unlock(a mem.Addr) { g.E.Release(uint64(a)) }
 
 // Build constructs a Program with procs streams, running body(p, gen)
 // in a producer goroutine per processor. The goroutine hands the
-// machine ops in recycled batchSize runs through one channel transfer
-// per batch (trace.ChanStream); generators whose control flow fits a
-// resumable state machine should use BuildFunc instead and skip the
-// goroutine entirely.
+// machine ops in recycled batches through one channel transfer per
+// batch (trace.ChanStream), so a batch is usually written on another
+// core than the one that simulates it. Built-in applications use BuildFunc;
+// Build backs user-supplied bodies (prefetchsim.NewProgram) and the
+// goroutine oracles of the application tests.
 func Build(name string, procs int, body func(p int, g *Gen)) *trace.Program {
 	prog := &trace.Program{Name: name}
 	for p := 0; p < procs; p++ {
@@ -128,6 +137,18 @@ func (g *FuncGen) Barrier() {
 	g.buf[g.n] = trace.Op{Kind: trace.Barrier, Addr: g.barrier}
 	g.n++
 	g.barrier++
+}
+
+// Lock emits an acquire of the lock variable at a.
+func (g *FuncGen) Lock(a mem.Addr) {
+	g.buf[g.n] = trace.Op{Kind: trace.Acquire, Addr: uint64(a)}
+	g.n++
+}
+
+// Unlock emits the matching release.
+func (g *FuncGen) Unlock(a mem.Addr) {
+	g.buf[g.n] = trace.Op{Kind: trace.Release, Addr: uint64(a)}
+	g.n++
 }
 
 // Filler is a resumable generator: Fill emits operations through g and

@@ -302,3 +302,36 @@ func BenchmarkBlockTableDense(b *testing.B) {
 
 func BenchmarkStdlibMap(b *testing.B)     { benchMapOps(b, 1<<20) }
 func BenchmarkStdlibMapHits(b *testing.B) { benchMapOps(b, 1<<14) }
+
+// TestLookupsOnExistingPagesAllocateNothing guards the 0 allocs/op the
+// block-table benchmarks report: once a block's page has a leaf, Get,
+// Ptr and Ref on any block of that page — present or not, across many
+// pages so the last-leaf cache keeps missing — allocate nothing. CI runs
+// no benchmarks, so this plain test is what holds it.
+func TestLookupsOnExistingPagesAllocateNothing(t *testing.T) {
+	var tb Table[uint64]
+	const pages = 200
+	for p := 0; p < pages; p++ {
+		tb.Put(mem.Block(p*mem.BlocksPerPage), uint64(p))
+	}
+	i := 0
+	next := func() mem.Block {
+		i++
+		return mem.Block((i*7919)%pages*mem.BlocksPerPage + i%mem.BlocksPerPage)
+	}
+	var sink uint64
+	for name, op := range map[string]func(){
+		"Get": func() { v, _ := tb.Get(next()); sink += v },
+		"Ptr": func() {
+			if p := tb.Ptr(next()); p != nil {
+				sink += *p
+			}
+		},
+		"Ref": func() { *tb.Ref(next())++ },
+	} {
+		if a := testing.AllocsPerRun(1000, op); a != 0 {
+			t.Errorf("%s on an existing page allocated %.1f times per call, want 0", name, a)
+		}
+	}
+	_ = sink
+}

@@ -54,9 +54,15 @@ const (
 
 // Mesh is the wormhole-routed interconnect.
 type Mesh struct {
-	cols, rows int
+	cols, rows, nodes int
 	// links[plane][node*numDirs+dir] is the outgoing link resource.
 	links [numPlanes][]sim.Resource
+	// The XY route from src to dst is the run of link indices
+	// route[routeOff[k]:routeOff[k+1]], k = src*nodes+dst, built once by
+	// New: routing a message is then a walk over that slice, with no
+	// per-hop coordinate arithmetic.
+	route    []int32
+	routeOff []int32
 
 	// BandwidthFactor divides link bandwidth: a factor of k makes every
 	// flit occupy a link for k cycles (a narrower network). 0 = 1.
@@ -86,10 +92,22 @@ func New(nodes int) *Mesh {
 	if cols < rows {
 		cols, rows = rows, cols
 	}
-	m := &Mesh{cols: cols, rows: rows}
+	m := &Mesh{cols: cols, rows: rows, nodes: nodes}
 	for p := range m.links {
 		m.links[p] = make([]sim.Resource, nodes*numDirs)
 	}
+	m.routeOff = make([]int32, 0, nodes*nodes+1)
+	for src := 0; src < nodes; src++ {
+		for dst := 0; dst < nodes; dst++ {
+			m.routeOff = append(m.routeOff, int32(len(m.route)))
+			for cur := src; cur != dst; {
+				dir, next := m.step(cur, dst)
+				m.route = append(m.route, int32(cur*numDirs+dir))
+				cur = next
+			}
+		}
+	}
+	m.routeOff = append(m.routeOff, int32(len(m.route)))
 	return m
 }
 
@@ -115,24 +133,23 @@ func (m *Mesh) Send(p Plane, src, dst, flits int, t sim.Time) sim.Time {
 	if factor < 1 {
 		factor = 1
 	}
+	k := src*m.nodes + dst
+	route := m.route[m.routeOff[k]:m.routeOff[k+1]]
+	links := m.links[p]
 	head := t
-	cur := src
 	hold := sim.Time(flits * factor) // one flit per network cycle at full width
-	for cur != dst {
-		dir, next := m.step(cur, dst)
-		link := &m.links[p][cur*numDirs+dir]
-		start := link.Acquire(head, hold)
-		head = start + FallThrough
-		cur = next
-		m.FlitHops += int64(flits)
+	for _, l := range route {
+		head = links[l].Acquire(head, hold) + FallThrough
 	}
+	m.FlitHops += int64(flits * len(route))
 	// Ejection at the destination: the tail arrives flits cycles after
 	// the head falls through the final router.
 	return head + hold
 }
 
 // step returns the outgoing direction and next node for XY routing from
-// cur toward dst (X first, then Y).
+// cur toward dst (X first, then Y). New walks it once per node pair to
+// build the route table.
 func (m *Mesh) step(cur, dst int) (dir, next int) {
 	cx, cy := cur%m.cols, cur/m.cols
 	dx, dy := dst%m.cols, dst/m.cols

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -184,13 +185,33 @@ func TestReadProgramRejectsWideFields(t *testing.T) {
 	}
 }
 
+// Decoding allowance for FuzzReadProgram: a fixed part covering the
+// name buffer the decoder allocates before reading the name (at most
+// 64 KiB), the bufio.Reader's 4 KiB and small headers, plus a bound per
+// input byte. The cheapest encodings cost 1 byte per empty stream (a
+// SliceStream and its Streams slot) and 2 bytes per op (a 24-byte Op),
+// and append growth at most quadruples an op slice's final length.
+const (
+	decodeFixedAlloc   = 80 << 10
+	decodeAllocPerByte = 128
+)
+
 // FuzzReadProgram feeds the decoder arbitrary bytes (plain go test
-// replays the seed corpus in testdata/fuzz). It must never panic, and
-// any input it accepts must re-encode to a file that decodes to the
-// same ops.
+// replays the seed corpus in testdata/fuzz). It must never panic, must
+// allocate within decodeFixedAlloc plus decodeAllocPerByte per input
+// byte (a short input must not make it allocate what a header merely
+// declares), and any input it accepts must re-encode to a file that
+// decodes to the same ops.
 func FuzzReadProgram(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		prog, err := ReadProgram(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc,
+			uint64(decodeFixedAlloc+decodeAllocPerByte*len(data)); got > limit {
+			t.Fatalf("decoding %d bytes allocated %d bytes, allowance %d", len(data), got, limit)
+		}
 		if err != nil {
 			return
 		}
