@@ -1,9 +1,12 @@
-// Package blockmap provides Table, a two-level page table keyed by
-// cache-block numbers. It replaces map[mem.Block]V on the simulator's
-// per-reference fast path (directory, SLC tags, per-node transaction
-// tables) and keeps on the host the locality the simulated
-// applications have: they lay data out densely (mem.Space) and walk it
-// sequentially or with small strides.
+// Package blockmap provides two maps keyed by cache-block numbers that
+// replace map[mem.Block]V on the simulator's per-reference fast path.
+// Table, a two-level page table, holds per-block state that lives as
+// long as the run (directory entries, SLC tags, miss history) and keeps
+// on the host the locality the simulated applications have: they lay
+// data out densely (mem.Space) and walk it sequentially or with small
+// strides. Small, a flat open-addressed hash (small.go), holds state
+// that only a few blocks have at a time (in-flight transactions,
+// queued directory waiters).
 //
 // A leaf covers one page, mem.BlocksPerPage blocks: an occupancy
 // bitmap and the values inline. An insert-only, open-addressed page

@@ -37,26 +37,23 @@ func (s EntryState) String() string {
 }
 
 // Waiter is a queued transaction continuation. The machine passes
-// pooled event objects, so queueing a waiter allocates nothing beyond
-// the queue's backing array.
+// pooled event objects, so queueing a waiter allocates nothing once the
+// directory's queues have grown to the run's peak contention.
 type Waiter interface {
 	Run()
 }
 
-// funcWaiter adapts a plain func to Waiter for the closure-based
-// Acquire form.
-type funcWaiter func()
-
-func (f funcWaiter) Run() { f() }
-
-// Entry is the directory record of one block.
+// Entry is the directory record of one block: 16 bytes with no
+// pointers, so a page of entries is 2 KB the garbage collector never
+// scans. The FIFO of transactions waiting for a busy entry lives in the
+// Directory, keyed by block, since few blocks are ever contended.
 type Entry struct {
-	State   EntryState
 	sharers uint64 // presence bit vector (full map)
-	Owner   int    // valid when State == Dirty
+	State   EntryState
+	Owner   int8 // valid when State == Dirty; New caps nodes at 64
 
-	busy    bool
-	waiters []Waiter
+	busy   bool // a transaction is in flight
+	queued bool // transactions wait in Directory.waiters
 }
 
 // Directory holds entries for every block ever referenced. Blocks not
@@ -67,6 +64,11 @@ type Entry struct {
 type Directory struct {
 	nodes   int
 	entries blockmap.Table[Entry]
+	// waiters holds the FIFO of each block whose entry has transactions
+	// queued behind the busy one; spare keeps emptied FIFOs' backing
+	// arrays for the next contended block.
+	waiters blockmap.Small[[]Waiter]
+	spare   [][]Waiter
 }
 
 // New returns a directory for a machine of nodes processing nodes
@@ -86,6 +88,55 @@ func (d *Directory) Entry(b mem.Block) *Entry { return d.entries.Ref(b) }
 func (d *Directory) Peek(b mem.Block) (*Entry, bool) {
 	e := d.entries.Ptr(b)
 	return e, e != nil
+}
+
+// Acquire begins a transaction on b's entry. If the entry is free it is
+// marked busy and Acquire reports true: the caller proceeds
+// immediately. Otherwise w is queued behind b's earlier waiters and run
+// (with the entry busy on its behalf) when the transactions ahead of it
+// release.
+func (d *Directory) Acquire(b mem.Block, w Waiter) bool {
+	e := d.entries.Ref(b)
+	if !e.busy {
+		e.busy = true
+		return true
+	}
+	q := d.waiters.Ref(b)
+	if !e.queued {
+		e.queued = true
+		if k := len(d.spare); k > 0 {
+			*q, d.spare = d.spare[k-1], d.spare[:k-1]
+		}
+	}
+	*q = append(*q, w)
+	return false
+}
+
+// Release ends the current transaction on b's entry. If transactions
+// are queued the next one starts immediately (the entry stays busy and
+// its continuation runs); otherwise the entry becomes free.
+func (d *Directory) Release(b mem.Block) {
+	e := d.entries.Ptr(b)
+	if e == nil || !e.busy {
+		panic("coherence: Release of a non-busy entry")
+	}
+	if !e.queued {
+		e.busy = false
+		return
+	}
+	q := d.waiters.Ptr(b)
+	next := (*q)[0]
+	if k := len(*q) - 1; k > 0 {
+		copy(*q, (*q)[1:])
+		(*q)[k] = nil
+		*q = (*q)[:k]
+	} else {
+		(*q)[0] = nil
+		d.spare = append(d.spare, (*q)[:0])
+		d.waiters.Delete(b)
+		e.queued = false
+	}
+	next.Run()
 }
 
 // AddSharer sets node n's presence bit.
@@ -127,42 +178,6 @@ func (e *Entry) SharerCount() int {
 		c++
 	}
 	return c
-}
-
-// Acquire begins a transaction on the entry. If the entry is free it is
-// marked busy and Acquire reports true: the caller proceeds
-// immediately. Otherwise the continuation is queued and run (with the
-// entry busy on its behalf) when the current transaction releases.
-func (e *Entry) Acquire(cont func()) bool {
-	return e.AcquireWaiter(funcWaiter(cont))
-}
-
-// AcquireWaiter is Acquire for pooled waiters: nothing is allocated on
-// either outcome beyond the waiter queue's backing array.
-func (e *Entry) AcquireWaiter(w Waiter) bool {
-	if !e.busy {
-		e.busy = true
-		return true
-	}
-	e.waiters = append(e.waiters, w)
-	return false
-}
-
-// Release ends the current transaction. If transactions are queued the
-// next one starts immediately (the entry stays busy and its
-// continuation runs); otherwise the entry becomes free.
-func (e *Entry) Release() {
-	if !e.busy {
-		panic("coherence: Release of a non-busy entry")
-	}
-	if len(e.waiters) == 0 {
-		e.busy = false
-		return
-	}
-	next := e.waiters[0]
-	e.waiters[0] = nil
-	e.waiters = e.waiters[1:]
-	next.Run()
 }
 
 // Busy reports whether a transaction is in flight for the entry.

@@ -10,8 +10,8 @@ import (
 // The protocol's multi-hop transactions (protocol.go) schedule one
 // network-arrival event per hop. Each event is a pooled ev object that
 // implements sim.Handler (fired by the engine) and coherence.Waiter
-// (queued on a busy directory entry), so the schedule/fire cycle of
-// the protocol fast path allocates nothing in steady state: an ev is
+// (queued in the directory behind a busy entry), so the schedule/fire
+// cycle of the protocol fast path allocates nothing in steady state: an ev is
 // taken from the machine's free list when a hop is scheduled, reused
 // in place across the hops of one transaction leg, and returned when
 // the leg completes. The pool allocates evs in slabs; each ev registers
@@ -136,9 +136,8 @@ func (m *Machine) fireEv(c *ev, t sim.Time) {
 		if m.sp != nil && c.tx != nil {
 			c.tx.span.Home = int64(t)
 		}
-		e := m.dir.Entry(c.b)
-		c.e = e
-		if e.AcquireWaiter(c) {
+		c.e = m.dir.Entry(c.b)
+		if m.dir.Acquire(c.b, c) {
 			m.runHome(c)
 		}
 		return // recycled at the end of runHome
@@ -168,7 +167,7 @@ func (m *Machine) fireEv(c *ev, t sim.Time) {
 		return
 
 	case evReadFill:
-		m.finishReadFill(c.n, c.b, c.tx, c.e)
+		m.finishReadFill(c.n, c.b, c.tx)
 
 	case evInvSend:
 		ackAt := m.applyInv(m.nodes[c.aux], c.b)
@@ -198,7 +197,7 @@ func (m *Machine) fireEv(c *ev, t sim.Time) {
 		m.sendWriteGrant(c, m.mems[c.home].Access(t), true)
 
 	case evWriteGrant:
-		m.finishWriteGrant(c.n, c.b, c.tx, c.e)
+		m.finishWriteGrant(c.n, c.b, c.tx)
 
 	case evWritebackAck:
 		n, b := c.n, c.b

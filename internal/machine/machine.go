@@ -205,8 +205,13 @@ type node struct {
 	slc    cache.Store
 	slcRes sim.Resource
 
-	pending     blockmap.Table[*pendingTx]
-	wbPending   blockmap.Table[[]func(sim.Time)]
+	// pending and wbPending hold the node's in-flight transactions
+	// (writes queued behind a full SLWB included) and writebacks. They
+	// hold few blocks at a time, at most a few hundred, so they are
+	// hash tables sized by that, not page tables that would keep a
+	// leaf for every page the node ever missed on.
+	pending     blockmap.Small[*pendingTx]
+	wbPending   blockmap.Small[[]func(sim.Time)]
 	slwbUsed    int
 	slwbWaiters []slwbWaiter
 

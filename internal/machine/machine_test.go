@@ -526,3 +526,39 @@ func TestRemoteDirtyReadFourTraversals(t *testing.T) {
 		t.Fatalf("dirty remote read stall = %d pclocks; outside the 4-traversal band", st.ReadStall)
 	}
 }
+
+// TestMissStateCostPerPage bounds the host memory one node's demand
+// misses cost per page touched. Each page missed on needs a directory
+// leaf (128 entries of 16 bytes), an SLC tag leaf and a history leaf,
+// about 2.5 KB together; in-flight transaction state must not add a
+// leaf per page on top, and directory entries must stay small. The
+// bound sits between that and the 9 KB a page cost when the
+// transaction table was a page table and an entry carried its own
+// waiter queue.
+func TestMissStateCostPerPage(t *testing.T) {
+	const pages = 4096
+	ops := make([]trace.Op, pages)
+	for p := range ops {
+		ops[p] = rd(uint64(p)*uint64(mem.PageBytes)+uint64(p%mem.BlocksPerPage)*mem.BlockBytes, 1)
+	}
+	p := prog(ops)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m, err := New(cfgN(1), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := m.Run()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Nodes[0].ColdMisses != pages {
+		t.Fatalf("%d cold misses, want %d", st.Nodes[0].ColdMisses, pages)
+	}
+	perPage := float64(after.TotalAlloc-before.TotalAlloc) / pages
+	t.Logf("%.0f bytes allocated per page missed on", perPage)
+	if perPage > 5<<10 {
+		t.Fatalf("%.0f bytes allocated per page missed on, want <= 5 KiB", perPage)
+	}
+}

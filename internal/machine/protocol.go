@@ -89,11 +89,11 @@ func (m *Machine) homeRead(c *ev) {
 		e.AddSharer(n.id)
 		arrive := m.mesh.Send(network.ReplyPlane, home, n.id, network.DataFlits, done)
 		f := m.newEv(evReadFill)
-		f.n, f.b, f.tx, f.e = n, b, c.tx, e
+		f.n, f.b, f.tx = n, b, c.tx
 		m.eng.Schedule(arrive, f.id)
 
 	case coherence.Dirty:
-		owner := e.Owner
+		owner := int(e.Owner)
 		if owner == n.id {
 			panic(fmt.Sprintf("machine: node %d read-misses a block the directory says it owns", n.id))
 		}
@@ -161,7 +161,7 @@ func (m *Machine) resumeDemand(n *node, tx *pendingTx, t sim.Time) {
 // directory entry stays busy until the fill is applied, so no later
 // transaction can observe the requester in a transitional state (the
 // implicit completion ack of a real protocol).
-func (m *Machine) finishReadFill(n *node, b mem.Block, tx *pendingTx, e *coherence.Entry) {
+func (m *Machine) finishReadFill(n *node, b mem.Block, tx *pendingTx) {
 	t := m.eng.Now()
 	slcStart := n.slcRes.Acquire(t, SLCCycle)
 	done := slcStart + SLCCycle
@@ -189,7 +189,7 @@ func (m *Machine) finishReadFill(n *node, b mem.Block, tx *pendingTx, e *coheren
 		m.resumeDemand(n, tx, done+FLCFillForward)
 	}
 	n.pending.Delete(b)
-	e.Release()
+	m.dir.Release(b)
 
 	if tx.wantWrite {
 		// Writes merged onto this read; acquire ownership now, reusing
@@ -256,7 +256,7 @@ func (m *Machine) sendWriteGrant(c *ev, done sim.Time, withData bool) {
 	}
 	e := c.e
 	e.State = coherence.Dirty
-	e.Owner = c.n.id
+	e.Owner = int8(c.n.id)
 	e.ClearSharers()
 	flits := network.CtrlFlits
 	if withData {
@@ -264,7 +264,7 @@ func (m *Machine) sendWriteGrant(c *ev, done sim.Time, withData bool) {
 	}
 	arrive := m.mesh.Send(network.ReplyPlane, c.home, c.n.id, flits, done)
 	f := m.newEv(evWriteGrant)
-	f.n, f.b, f.tx, f.e = c.n, c.b, c.tx, c.e
+	f.n, f.b, f.tx = c.n, c.b, c.tx
 	m.eng.Schedule(arrive, f.id)
 }
 
@@ -311,7 +311,7 @@ func (m *Machine) homeWrite(c *ev) {
 		}
 
 	case coherence.Dirty:
-		owner := e.Owner
+		owner := int(e.Owner)
 		if owner == n.id {
 			panic(fmt.Sprintf("machine: node %d write-misses a block the directory says it owns", n.id))
 		}
@@ -326,7 +326,7 @@ func (m *Machine) homeWrite(c *ev) {
 // finishWriteGrant completes an ownership transaction at the requester.
 // As with read fills, the directory entry is released only once the
 // grant is applied.
-func (m *Machine) finishWriteGrant(n *node, b mem.Block, tx *pendingTx, e *coherence.Entry) {
+func (m *Machine) finishWriteGrant(n *node, b mem.Block, tx *pendingTx) {
 	t := m.eng.Now()
 	slcStart := n.slcRes.Acquire(t, SLCCycle)
 	done := slcStart + SLCCycle
@@ -345,7 +345,7 @@ func (m *Machine) finishWriteGrant(n *node, b mem.Block, tx *pendingTx, e *coher
 		m.resumeDemand(n, tx, done+FLCFillForward)
 	}
 	n.pending.Delete(b)
-	e.Release()
+	m.dir.Release(b)
 	m.freeSLWB(n)
 
 	n.outWrites -= tx.writeRefs
@@ -406,7 +406,7 @@ func (m *Machine) homeWriteback(c *ev) {
 	e, n, b, home := c.e, c.n, c.b, c.home
 	t := m.eng.Now()
 	var done sim.Time
-	if e.State == coherence.Dirty && e.Owner == n.id {
+	if e.State == coherence.Dirty && int(e.Owner) == n.id {
 		done = m.mems[home].Access(t)
 		e.State = coherence.Uncached
 		e.ClearSharers()
@@ -414,7 +414,7 @@ func (m *Machine) homeWriteback(c *ev) {
 		done = m.mems[home].Control(t)
 	}
 	ackArrive := m.mesh.Send(network.ReplyPlane, home, n.id, network.CtrlFlits, done)
-	e.Release()
+	m.dir.Release(b)
 	f := m.newEv(evWritebackAck)
 	f.n, f.b = n, b
 	m.eng.Schedule(ackArrive, f.id)

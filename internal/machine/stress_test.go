@@ -123,7 +123,7 @@ func checkInvariants(t *testing.T, m *Machine, label string) {
 			}
 			// No other node may hold the block.
 			for _, n := range m.nodes {
-				if n.id == e.Owner {
+				if n.id == int(e.Owner) {
 					continue
 				}
 				if _, ok := n.slc.Lookup(b); ok {
