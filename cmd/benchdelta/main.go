@@ -1,224 +1,334 @@
-// Command benchdelta merges two scripts/bench.sh result files into one
-// benchstat-style before/after record: for every benchmark present in
-// both files it reports the before and after triples (ns/op, B/op,
-// allocs/op) and the percentage deltas; benchmarks present in only one
-// file are carried under "before_only"/"after_only". The merged object
-// is what the repo's BENCH_<n>.json records store.
+// Command benchdelta is the benchmark regression gate. It builds the
+// gated benchmarks of two checkouts on the same machine, runs them in
+// alternating pairs and fails when the head checkout is slower or
+// allocates more than the base:
 //
-// With -gate it instead compares a fresh bench.sh run against a
-// committed record and fails (exit 1) when any shared benchmark's
-// ns/op regressed by more than the threshold — the CI regression
-// check. The baseline may be a flat bench.sh file or a merged
-// BENCH_<n>.json record (its "after" section is the baseline).
+//	go run ./cmd/benchdelta <base checkout> <head checkout>
 //
-// Usage:
+// Each gated package is compiled once per checkout (go test -c
+// -trimpath, each side from its own sources). Then 10 pairs run, the
+// first side alternating between pairs. For ns/op and allocs/op separately, a
+// benchmark regresses when the head reads worse than the base in all
+// 10 pairs and the head's median is worse than the base's by more than
+// the base's interquartile range. Ties count for neither side. A
+// benchmark present in only one checkout is reported as new or gone and
+// is not gated.
 //
-//	benchdelta before.json after.json            # merged JSON on stdout
-//	benchdelta -o BENCH_3.json before.json after.json
-//	benchdelta -gate 25 BENCH_3.json current.json
+// Exit status 1 means a regression; 2 means a usage, build or run
+// error.
 package main
 
 import (
-	"encoding/json"
-	"flag"
+	"bufio"
+	"bytes"
+	"errors"
 	"fmt"
+	"io"
+	"io/fs"
 	"os"
+	"os/exec"
+	"path/filepath"
+	"regexp"
 	"sort"
+	"strconv"
+	"strings"
+	"text/tabwriter"
 )
 
-// metrics is one bench.sh row. Pointers distinguish "absent" from 0
-// (bench.sh writes null when a benchmark reports no -benchmem columns).
-type metrics struct {
-	NsPerOp     *float64 `json:"ns_per_op"`
-	BytesPerOp  *float64 `json:"bytes_per_op"`
-	AllocsPerOp *float64 `json:"allocs_per_op"`
+// pairs is the number of alternating base/head pairs. With no real
+// change, 10 losses in 10 pairs happen with p = 1/1024 per number. About
+// 20 gated numbers can lose (0 = 0 allocs cannot), so at most about 2%
+// of clean runs fail; 9 of 10, compare's gain rule, would fail 20%.
+const pairs = 10
+
+// microTime is the benchtime of every micro-benchmark: long enough for a
+// steady ns/op, short enough that the whole gate takes minutes.
+const microTime = "0.3s"
+
+// gated is the benchmark set the gate runs: a package directory
+// relative to the checkout, a -bench pattern and a benchtime.
+var gated = []struct{ pkg, pattern, benchtime string }{
+	{"internal/sim", "EngineSchedule$", microTime},
+	{"internal/blockmap", "BlockTable$|BlockTableHits|BlockTableDense|SmallCycle", microTime},
+	{"internal/network", "MeshSend", microTime},
+	{"internal/trace", "StreamNext", microTime},
+	{"internal/coherence", "DirectoryTransaction", microTime},
+	{"internal/cache", "SLCLookupFill", microTime},
+	{"internal/prefetch", "PrefetcherOnRead", microTime},
+	// The only whole-simulator number: one 4-processor Figure-6 sweep.
+	{".", "Figure6Serial$", "1x"},
 }
 
-// delta is one merged row.
-type delta struct {
-	Before      metrics `json:"before"`
-	After       metrics `json:"after"`
-	NsDelta     *string `json:"ns_per_op_delta,omitempty"`
-	BytesDelta  *string `json:"bytes_per_op_delta,omitempty"`
-	AllocsDelta *string `json:"allocs_per_op_delta,omitempty"`
+// metrics are the gated -benchmem columns; for both, lower is better.
+var metrics = []string{"ns/op", "allocs/op"}
+
+// samples holds one checkout's readings: benchmark name, then unit,
+// then one value per pair.
+type samples map[string]map[string][]float64
+
+// procSuffix is the -N GOMAXPROCS suffix go test appends to a name.
+var procSuffix = regexp.MustCompile(`-\d+$`)
+
+// parseLine decodes one result line of go test -bench output: a name,
+// an iteration count, then value-unit pairs (the -benchmem columns and
+// any ReportMetric units). The GOMAXPROCS suffix is dropped from the
+// name.
+func parseLine(line string) (name string, vals map[string]float64, err error) {
+	f := strings.Fields(line)
+	if len(f) < 4 || len(f)%2 != 0 || !strings.HasPrefix(f[0], "Benchmark") {
+		return "", nil, fmt.Errorf("malformed benchmark line %q", line)
+	}
+	if _, err := strconv.ParseInt(f[1], 10, 64); err != nil {
+		return "", nil, fmt.Errorf("malformed iteration count in %q", line)
+	}
+	vals = make(map[string]float64, len(f)/2-1)
+	for i := 2; i < len(f); i += 2 {
+		v, err := strconv.ParseFloat(f[i], 64)
+		if err != nil {
+			return "", nil, fmt.Errorf("malformed value %q in %q", f[i], line)
+		}
+		vals[f[i+1]] = v
+	}
+	if _, ok := vals["ns/op"]; !ok {
+		return "", nil, fmt.Errorf("no ns/op in %q", line)
+	}
+	return procSuffix.ReplaceAllString(f[0], ""), vals, nil
 }
 
-// merged is the full before/after record benchdelta emits and the
-// repo's BENCH_<n>.json files store (alongside free-form fields such
-// as "description", which load ignores).
-type merged struct {
-	Benchmarks map[string]delta   `json:"benchmarks"`
-	BeforeOnly map[string]metrics `json:"before_only,omitempty"`
-	AfterOnly  map[string]metrics `json:"after_only,omitempty"`
+// addOutput parses a test binary's output into s. Lines that do not
+// start with "Benchmark" (headers, PASS) are skipped.
+func (s samples) addOutput(out io.Reader) error {
+	sc := bufio.NewScanner(out)
+	for sc.Scan() {
+		if !strings.HasPrefix(sc.Text(), "Benchmark") {
+			continue
+		}
+		name, vals, err := parseLine(sc.Text())
+		if err != nil {
+			return err
+		}
+		if s[name] == nil {
+			s[name] = map[string][]float64{}
+		}
+		for _, unit := range metrics {
+			if v, ok := vals[unit]; ok {
+				s[name][unit] = append(s[name][unit], v)
+			}
+		}
+	}
+	return sc.Err()
 }
 
-func pct(before, after *float64) *string {
-	if before == nil || after == nil || *before == 0 {
+// quartiles returns the first quartile, the median and the third
+// quartile of xs by the "exclusive" method of Python's
+// statistics.quantiles(xs, n=4), as bench/compare reports them; xs
+// needs at least two samples. It copies Quartiles of
+// bench/internal/stat, which this module cannot import.
+func quartiles(xs []float64) (q1, q2, q3 float64) {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	n := len(s)
+	var q [3]float64
+	for i := 1; i <= 3; i++ {
+		j := max(1, min(i*(n+1)/4, n-1))
+		delta := i*(n+1) - j*4
+		q[i-1] = (s[j-1]*float64(4-delta) + s[j]*float64(delta)) / 4
+	}
+	return q[0], q[1], q[2]
+}
+
+// row is one benchmark and metric under the rule.
+type row struct {
+	bench, unit string
+	base, head  []float64
+	losses      int // pairs in which head read worse than base
+	verdict     string
+}
+
+// judge applies the rule to every benchmark and metric of base and
+// head, sorted by name; base[b][u][k] and head[b][u][k] ran in pair k.
+func judge(base, head samples) []row {
+	type key struct{ bench, unit string }
+	seen := map[key]bool{}
+	for _, s := range []samples{base, head} {
+		for name, byUnit := range s {
+			for unit := range byUnit {
+				seen[key{name, unit}] = true
+			}
+		}
+	}
+	rows := make([]row, 0, len(seen))
+	for k := range seen {
+		rows = append(rows, row{bench: k.bench, unit: k.unit, base: base[k.bench][k.unit], head: head[k.bench][k.unit]})
+	}
+	sort.Slice(rows, func(i, j int) bool {
+		if rows[i].bench != rows[j].bench {
+			return rows[i].bench < rows[j].bench
+		}
+		return rows[i].unit > rows[j].unit // ns/op before allocs/op
+	})
+	for i := range rows {
+		r := &rows[i]
+		switch {
+		case r.base == nil:
+			r.verdict = "new"
+		case r.head == nil:
+			r.verdict = "gone"
+		default:
+			for k := range r.base {
+				if r.head[k] > r.base[k] {
+					r.losses++
+				}
+			}
+			q1, medBase, q3 := quartiles(r.base)
+			_, medHead, _ := quartiles(r.head)
+			r.verdict = "ok"
+			if r.losses == pairs && medHead-medBase > q3-q1 {
+				r.verdict = "REGRESSION"
+			}
+		}
+	}
+	return rows
+}
+
+// printTable writes one line per row: each side's median and
+// quartiles, the change of the medians, the head's losses and the
+// verdict.
+func printTable(w io.Writer, rows []row) error {
+	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
+	fmt.Fprintln(tw, "benchmark\tmetric\tbase median\tbase q1-q3\thead median\thead q1-q3\tchange\thead losses\tverdict")
+	side := func(xs []float64) string {
+		if xs == nil {
+			return "-\t-"
+		}
+		q1, q2, q3 := quartiles(xs)
+		return fmt.Sprintf("%.4g\t%.4g-%.4g", q2, q1, q3)
+	}
+	for _, r := range rows {
+		change, losses := "-", "-"
+		if r.base != nil && r.head != nil {
+			_, mb, _ := quartiles(r.base)
+			_, mh, _ := quartiles(r.head)
+			change = "0"
+			if mh != mb {
+				change = fmt.Sprintf("%+.1f%%", 100*(mh-mb)/mb) // +Inf% from 0
+			}
+			losses = fmt.Sprintf("%d/%d", r.losses, len(r.base))
+		}
+		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\t%s\t%s\n", r.bench, r.unit, side(r.base), side(r.head), change, losses, r.verdict)
+	}
+	return tw.Flush()
+}
+
+// checkout is one side of the comparison: its directory, its test
+// binary per gated package (empty where the package does not exist)
+// and its readings.
+type checkout struct {
+	name, dir string
+	bins      []string
+	got       samples
+}
+
+// build compiles the test binary of every gated package of c into tmp.
+// -trimpath keeps the checkout's path out of the binary, so identical
+// sources give identical binaries wherever they are checked out.
+func (c *checkout) build(tmp string) error {
+	c.bins = make([]string, len(gated))
+	for i, g := range gated {
+		if _, err := os.Stat(filepath.Join(c.dir, g.pkg)); errors.Is(err, fs.ErrNotExist) {
+			continue
+		}
+		bin := filepath.Join(tmp, fmt.Sprintf("%s-%d.test", c.name, i))
+		cmd := exec.Command("go", "test", "-c", "-trimpath", "-o", bin, "./"+g.pkg)
+		cmd.Dir = c.dir
+		if out, err := cmd.CombinedOutput(); err != nil {
+			return fmt.Errorf("building %s in %s: %v\n%s", g.pkg, c.dir, err, out)
+		}
+		c.bins[i] = bin
+	}
+	return nil
+}
+
+// run runs gated package i's benchmarks once, from the package's
+// directory.
+func (c *checkout) run(i int) error {
+	g := gated[i]
+	if c.bins[i] == "" {
 		return nil
 	}
-	s := fmt.Sprintf("%+.1f%%", 100*(*after-*before)/(*before))
-	return &s
+	cmd := exec.Command(c.bins[i], "-test.run", "^$", "-test.bench", g.pattern,
+		"-test.benchtime", g.benchtime, "-test.benchmem", "-test.count", "1", "-test.timeout", "10m")
+	cmd.Dir = filepath.Join(c.dir, g.pkg)
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Run(); err != nil {
+		return fmt.Errorf("%s benchmarks in %s: %v\n%s%s", g.pkg, c.dir, err, stdout.Bytes(), stderr.Bytes())
+	}
+	return c.got.addOutput(&stdout)
 }
 
-// parse decodes one result file: either a flat bench.sh map
-// (name -> metrics) or a merged BENCH_<n>.json record, whose "after"
-// triples become the returned map.
-func parse(data []byte, path string) (map[string]metrics, error) {
-	var rec merged
-	if err := json.Unmarshal(data, &rec); err == nil && len(rec.Benchmarks) > 0 {
-		m := make(map[string]metrics, len(rec.Benchmarks))
-		for name, d := range rec.Benchmarks {
-			m[name] = d.After
-		}
-		for name, a := range rec.AfterOnly {
-			m[name] = a
-		}
-		return m, nil
-	}
-	var m map[string]metrics
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return m, nil
-}
-
-func load(path string) (map[string]metrics, error) {
-	data, err := os.ReadFile(path)
+// gate builds and runs both checkouts and reports whether any row
+// regressed.
+func gate(baseDir, headDir string) (regressed bool, err error) {
+	tmp, err := os.MkdirTemp("", "benchdelta")
 	if err != nil {
-		return nil, err
+		return false, err
 	}
-	return parse(data, path)
-}
-
-// merge pairs every benchmark of before with after, computing the
-// percentage deltas; unpaired benchmarks land in BeforeOnly/AfterOnly.
-func mergeResults(before, after map[string]metrics) merged {
-	out := merged{Benchmarks: map[string]delta{}}
-	for name, b := range before {
-		a, ok := after[name]
-		if !ok {
-			if out.BeforeOnly == nil {
-				out.BeforeOnly = map[string]metrics{}
+	defer os.RemoveAll(tmp)
+	sides := [2]*checkout{{name: "base", dir: baseDir}, {name: "head", dir: headDir}}
+	for _, c := range sides {
+		if c.dir, err = filepath.Abs(c.dir); err != nil {
+			return false, err
+		}
+		c.got = samples{}
+		if err := c.build(tmp); err != nil {
+			return false, err
+		}
+	}
+	for p := 0; p < pairs; p++ {
+		fmt.Fprintf(os.Stderr, "benchdelta: pair %d/%d\n", p+1, pairs)
+		first := p % 2
+		for i := range gated {
+			for _, c := range []*checkout{sides[first], sides[1-first]} {
+				if err := c.run(i); err != nil {
+					return false, err
+				}
 			}
-			out.BeforeOnly[name] = b
-			continue
-		}
-		out.Benchmarks[name] = delta{
-			Before: b, After: a,
-			NsDelta:     pct(b.NsPerOp, a.NsPerOp),
-			BytesDelta:  pct(b.BytesPerOp, a.BytesPerOp),
-			AllocsDelta: pct(b.AllocsPerOp, a.AllocsPerOp),
 		}
 	}
-	for name, a := range after {
-		if _, ok := before[name]; !ok {
-			if out.AfterOnly == nil {
-				out.AfterOnly = map[string]metrics{}
+	for _, c := range sides {
+		for name, byUnit := range c.got {
+			for unit, xs := range byUnit {
+				if len(xs) != pairs {
+					return false, fmt.Errorf("%s: %s %s has %d readings, want %d", c.dir, name, unit, len(xs), pairs)
+				}
 			}
-			out.AfterOnly[name] = a
 		}
 	}
-	return out
-}
-
-// gateResult is one benchmark's verdict from a gate comparison.
-type gateResult struct {
-	Name     string
-	Baseline float64
-	Current  float64
-	DeltaPct float64
-	Failed   bool
-}
-
-// gate compares current ns/op against baseline ns/op for every
-// benchmark present in both (with a measured ns/op), in name order.
-// A benchmark fails when it regressed by more than thresholdPct
-// percent; improvements and missing benchmarks never fail.
-func gate(baseline, current map[string]metrics, thresholdPct float64) (results []gateResult, failed int) {
-	names := make([]string, 0, len(baseline))
-	for name, b := range baseline {
-		c, ok := current[name]
-		if !ok || b.NsPerOp == nil || c.NsPerOp == nil || *b.NsPerOp == 0 {
-			continue
-		}
-		names = append(names, name)
+	rows := judge(sides[0].got, sides[1].got)
+	if err := printTable(os.Stdout, rows); err != nil {
+		return false, err
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		b, c := *baseline[name].NsPerOp, *current[name].NsPerOp
-		d := 100 * (c - b) / b
-		r := gateResult{Name: name, Baseline: b, Current: c, DeltaPct: d, Failed: d > thresholdPct}
-		if r.Failed {
-			failed++
+	for _, r := range rows {
+		if r.verdict == "REGRESSION" {
+			regressed = true
 		}
-		results = append(results, r)
 	}
-	return results, failed
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "benchdelta:", err)
-	os.Exit(1)
+	return regressed, nil
 }
 
 func main() {
-	out := flag.String("o", "", "write merged JSON to this file instead of stdout")
-	gatePct := flag.Float64("gate", 0, "fail when any shared benchmark's ns/op regressed by more than this percentage (0 = merge mode)")
-	flag.Parse()
-	args := flag.Args()
-	if len(args) != 2 {
-		fmt.Fprintln(os.Stderr, "usage: benchdelta [-o merged.json] before.json after.json")
-		fmt.Fprintln(os.Stderr, "       benchdelta -gate <pct> baseline.json current.json")
+	if len(os.Args) != 3 {
+		fmt.Fprintln(os.Stderr, "usage: benchdelta <base checkout> <head checkout>")
 		os.Exit(2)
 	}
-	before, err := load(args[0])
+	regressed, err := gate(os.Args[1], os.Args[2])
 	if err != nil {
-		fatal(err)
+		fmt.Fprintln(os.Stderr, "benchdelta:", err)
+		os.Exit(2)
 	}
-	after, err := load(args[1])
-	if err != nil {
-		fatal(err)
+	if regressed {
+		fmt.Fprintln(os.Stderr, "benchdelta: head regressed")
+		os.Exit(1)
 	}
-
-	if *gatePct > 0 {
-		results, failed := gate(before, after, *gatePct)
-		if len(results) == 0 {
-			fatal(fmt.Errorf("gate: no shared benchmarks between %s and %s", args[0], args[1]))
-		}
-		for _, r := range results {
-			verdict := "ok"
-			if r.Failed {
-				verdict = fmt.Sprintf("FAIL (>%g%%)", *gatePct)
-			}
-			fmt.Printf("%-32s %14.0f -> %14.0f ns/op  %+6.1f%%  %s\n",
-				r.Name, r.Baseline, r.Current, r.DeltaPct, verdict)
-		}
-		if failed > 0 {
-			fmt.Fprintf(os.Stderr, "benchdelta: %d of %d benchmarks regressed beyond %g%%\n",
-				failed, len(results), *gatePct)
-			os.Exit(1)
-		}
-		fmt.Printf("gate passed: %d benchmarks within %g%% of baseline\n", len(results), *gatePct)
-		return
-	}
-
-	rec := mergeResults(before, after)
-	// MarshalIndent sorts map keys, so the record is stable across runs.
-	buf, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	buf = append(buf, '\n')
-	if *out == "" {
-		os.Stdout.Write(buf)
-		return
-	}
-	if err := os.WriteFile(*out, buf, 0o644); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("wrote %s (%d benchmarks compared", *out, len(rec.Benchmarks))
-	if n := len(rec.BeforeOnly) + len(rec.AfterOnly); n > 0 {
-		fmt.Printf(", %d unpaired", n)
-	}
-	fmt.Println(")")
 }

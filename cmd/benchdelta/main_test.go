@@ -2,153 +2,180 @@ package main
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
-func f(v float64) *float64 { return &v }
-
-func m(ns, bytes, allocs *float64) metrics {
-	return metrics{NsPerOp: ns, BytesPerOp: bytes, AllocsPerOp: allocs}
-}
-
-// TestParseFlat decodes the flat map scripts/bench.sh emits, including
-// the null B/op and allocs/op of a benchmark without -benchmem columns.
-func TestParseFlat(t *testing.T) {
-	data := []byte(`{
-		"BenchmarkA": {"ns_per_op": 100, "bytes_per_op": 8, "allocs_per_op": 1},
-		"BenchmarkB": {"ns_per_op": 50, "bytes_per_op": null, "allocs_per_op": null}
-	}`)
-	got, err := parse(data, "flat.json")
-	if err != nil {
-		t.Fatal(err)
+// TestParseLine decodes go test -bench result lines: the -benchmem
+// columns, ReportMetric units, the GOMAXPROCS suffix and sub-benchmark
+// names.
+func TestParseLine(t *testing.T) {
+	cases := []struct {
+		line string
+		name string
+		vals map[string]float64
+	}{
+		{"BenchmarkEngineSchedule-2   \t100000000\t        11.85 ns/op\t       0 B/op\t       0 allocs/op",
+			"BenchmarkEngineSchedule", map[string]float64{"ns/op": 11.85, "B/op": 0, "allocs/op": 0}},
+		{"BenchmarkSimulatorThroughput-8  1  912345678 ns/op  2.51e+06 refs/s  5120 B/op  142372 allocs/op",
+			"BenchmarkSimulatorThroughput", map[string]float64{"ns/op": 912345678, "refs/s": 2.51e6, "B/op": 5120, "allocs/op": 142372}},
+		{"BenchmarkPrefetcherOnRead/I-det-16  70304114  10.13 ns/op",
+			"BenchmarkPrefetcherOnRead/I-det", map[string]float64{"ns/op": 10.13}},
+		// GOMAXPROCS 1 adds no suffix, and a dash inside a name stays.
+		{"BenchmarkStreamNext/chan-batched 5000 312 ns/op 0 allocs/op",
+			"BenchmarkStreamNext/chan-batched", map[string]float64{"ns/op": 312, "allocs/op": 0}},
 	}
-	want := map[string]metrics{
-		"BenchmarkA": m(f(100), f(8), f(1)),
-		"BenchmarkB": m(f(50), nil, nil),
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("parse = %+v, want %+v", got, want)
-	}
-}
-
-// TestParseMerged decodes a committed BENCH_<n>.json record: the
-// "after" triples become the baseline, after_only entries included,
-// and free-form fields like "description" are ignored.
-func TestParseMerged(t *testing.T) {
-	data := []byte(`{
-		"description": "a record",
-		"baseline_commit": "abc1234",
-		"benchmarks": {
-			"BenchmarkA": {
-				"before": {"ns_per_op": 120, "bytes_per_op": 8, "allocs_per_op": 1},
-				"after":  {"ns_per_op": 100, "bytes_per_op": 8, "allocs_per_op": 1},
-				"ns_per_op_delta": "-16.7%"
-			}
-		},
-		"after_only": {
-			"BenchmarkNew": {"ns_per_op": 7, "bytes_per_op": 0, "allocs_per_op": 0}
+	for _, c := range cases {
+		name, vals, err := parseLine(c.line)
+		if err != nil {
+			t.Errorf("parseLine(%q): %v", c.line, err)
+			continue
 		}
-	}`)
-	got, err := parse(data, "BENCH_9.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]metrics{
-		"BenchmarkA":   m(f(100), f(8), f(1)),
-		"BenchmarkNew": m(f(7), f(0), f(0)),
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("parse = %+v, want %+v", got, want)
+		if name != c.name || !reflect.DeepEqual(vals, c.vals) {
+			t.Errorf("parseLine(%q) = %q %v, want %q %v", c.line, name, vals, c.name, c.vals)
+		}
 	}
 }
 
-// TestParseRejectsGarbage: a file that is neither shape errors out
-// instead of silently gating against nothing.
+// TestParseRejectsGarbage: a malformed result line is an error, not a
+// silently missing sample.
 func TestParseRejectsGarbage(t *testing.T) {
-	if _, err := parse([]byte(`[1, 2, 3]`), "bad.json"); err == nil {
-		t.Fatal("parse accepted a JSON array")
-	}
-}
-
-// TestMergeResults checks the before/after pairing and the delta
-// strings, including unpaired benchmarks on both sides.
-func TestMergeResults(t *testing.T) {
-	before := map[string]metrics{
-		"BenchmarkA":    m(f(100), f(8), f(2)),
-		"BenchmarkGone": m(f(10), nil, nil),
-	}
-	after := map[string]metrics{
-		"BenchmarkA":   m(f(150), f(8), f(1)),
-		"BenchmarkNew": m(f(5), nil, nil),
-	}
-	rec := mergeResults(before, after)
-	d, ok := rec.Benchmarks["BenchmarkA"]
-	if !ok {
-		t.Fatal("BenchmarkA not merged")
-	}
-	if d.NsDelta == nil || *d.NsDelta != "+50.0%" {
-		t.Errorf("ns delta = %v, want +50.0%%", d.NsDelta)
-	}
-	if d.AllocsDelta == nil || *d.AllocsDelta != "-50.0%" {
-		t.Errorf("allocs delta = %v, want -50.0%%", d.AllocsDelta)
-	}
-	if _, ok := rec.BeforeOnly["BenchmarkGone"]; !ok {
-		t.Error("BenchmarkGone missing from before_only")
-	}
-	if _, ok := rec.AfterOnly["BenchmarkNew"]; !ok {
-		t.Error("BenchmarkNew missing from after_only")
-	}
-}
-
-// TestGate pins the regression gate's verdicts: regressions beyond the
-// threshold fail, regressions within it and improvements pass, and
-// benchmarks absent from either side (or without ns/op) are skipped.
-func TestGate(t *testing.T) {
-	baseline := map[string]metrics{
-		"BenchmarkSlower": m(f(100), nil, nil), // +30% — beyond 25
-		"BenchmarkWithin": m(f(100), nil, nil), // +20% — within 25
-		"BenchmarkFaster": m(f(100), nil, nil), // -40% — improvement
-		"BenchmarkGone":   m(f(100), nil, nil), // not in current
-		"BenchmarkNoNs":   m(nil, f(8), nil),   // no measurement
-		"BenchmarkZeroNs": m(f(0), nil, nil),   // division guard
-	}
-	current := map[string]metrics{
-		"BenchmarkSlower":  m(f(130), nil, nil),
-		"BenchmarkWithin":  m(f(120), nil, nil),
-		"BenchmarkFaster":  m(f(60), nil, nil),
-		"BenchmarkNoNs":    m(f(5), nil, nil),
-		"BenchmarkZeroNs":  m(f(5), nil, nil),
-		"BenchmarkOnlyCur": m(f(5), nil, nil),
-	}
-	results, failed := gate(baseline, current, 25)
-	if len(results) != 3 {
-		t.Fatalf("gate compared %d benchmarks, want 3: %+v", len(results), results)
-	}
-	if failed != 1 {
-		t.Fatalf("failed = %d, want 1", failed)
-	}
-	verdicts := map[string]bool{}
-	for _, r := range results {
-		verdicts[r.Name] = r.Failed
-	}
-	want := map[string]bool{
-		"BenchmarkSlower": true,
-		"BenchmarkWithin": false,
-		"BenchmarkFaster": false,
-	}
-	if !reflect.DeepEqual(verdicts, want) {
-		t.Fatalf("verdicts = %v, want %v", verdicts, want)
-	}
-
-	// Results come back name-sorted so CI logs are stable.
-	for i := 1; i < len(results); i++ {
-		if results[i-1].Name > results[i].Name {
-			t.Fatalf("results not sorted: %s before %s", results[i-1].Name, results[i].Name)
+	for _, line := range []string{
+		"BenchmarkA-2",                          // name only
+		"BenchmarkA-2 100",                      // no values
+		"BenchmarkA-2 100 12.5",                 // value without unit
+		"BenchmarkA-2 many 12.5 ns/op",          // iteration count
+		"BenchmarkA-2 100 fast ns/op",           // value
+		"BenchmarkA-2 100 12 B/op 0 allocs/op",  // no ns/op
+		"BenchmarkA-2 100 12.5 ns/op 3",         // dangling value
+		"--- FAIL: BenchmarkA-2 100 12.5 ns/op", // not a result line
+	} {
+		if name, _, err := parseLine(line); err == nil {
+			t.Errorf("parseLine(%q) = %q, want an error", line, name)
 		}
 	}
+}
 
-	// At a looser threshold everything passes.
-	if _, failed := gate(baseline, current, 50); failed != 0 {
-		t.Fatalf("50%% gate failed %d benchmarks, want 0", failed)
+func TestAddOutputSkipsNonResultLines(t *testing.T) {
+	out := "goos: linux\ngoarch: amd64\npkg: prefetchsim/internal/sim\n" +
+		"BenchmarkEngineSchedule-2 100 11.8 ns/op 0 B/op 0 allocs/op\nPASS\n"
+	s := samples{}
+	if err := s.addOutput(strings.NewReader(out)); err != nil {
+		t.Fatal(err)
+	}
+	want := samples{"BenchmarkEngineSchedule": {"ns/op": {11.8}, "allocs/op": {0}}}
+	if !reflect.DeepEqual(s, want) {
+		t.Fatalf("addOutput = %v, want %v", s, want)
+	}
+	if err := s.addOutput(strings.NewReader("BenchmarkX-2 1 fast ns/op\n")); err == nil {
+		t.Fatal("addOutput accepted a malformed result line")
+	}
+}
+
+func TestQuartilesMatchPython(t *testing.T) {
+	// statistics.quantiles([...], n=4) in Python 3.
+	for _, c := range []struct {
+		xs         []float64
+		q1, q2, q3 float64
+	}{
+		{[]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, 2.75, 5.5, 8.25},
+		{[]float64{5, 1, 4, 2, 3}, 1.5, 3, 4.5},
+	} {
+		if q1, q2, q3 := quartiles(c.xs); q1 != c.q1 || q2 != c.q2 || q3 != c.q3 {
+			t.Errorf("quartiles(%v) = %v %v %v, want %v %v %v", c.xs, q1, q2, q3, c.q1, c.q2, c.q3)
+		}
+	}
+}
+
+// ten returns the 10 pairs' samples lo, lo+step, ... in that order.
+func ten(lo, step float64) []float64 {
+	xs := make([]float64, pairs)
+	for i := range xs {
+		xs[i] = lo + float64(i)*step
+	}
+	return xs
+}
+
+// TestGate applies the rule: a regression needs 10/10 losses and a
+// median beyond the base's interquartile range.
+func TestGate(t *testing.T) {
+	base := ten(100, 1) // median 104.5, IQR 101.75-107.25 = 5.5
+	nineLosses := ten(200, 1)
+	nineLosses[3] = base[3]
+	cases := []struct {
+		name    string
+		head    []float64
+		losses  int
+		verdict string
+	}{
+		{"10/10 losses beyond the IQR", ten(110, 1), 10, "REGRESSION"},
+		{"9/10 losses, far slower", nineLosses, 9, "ok"},
+		{"10/10 losses inside the IQR", ten(100.5, 1), 10, "ok"},
+		{"identical samples", ten(100, 1), 0, "ok"},
+		{"faster", ten(50, 1), 0, "ok"},
+	}
+	for _, c := range cases {
+		rows := judge(samples{"BenchmarkA": {"ns/op": base}}, samples{"BenchmarkA": {"ns/op": c.head}})
+		if len(rows) != 1 || rows[0].losses != c.losses || rows[0].verdict != c.verdict {
+			t.Errorf("%s: rows = %+v, want %d losses, %s", c.name, rows, c.losses, c.verdict)
+		}
+	}
+}
+
+// TestGateTiesAndOneSidedBenchmarks: 0 = 0 allocs counts for neither
+// side, and a benchmark present on one side only is reported, not gated.
+func TestGateTiesAndOneSidedBenchmarks(t *testing.T) {
+	zero := make([]float64, pairs)
+	base := samples{
+		"BenchmarkShared": {"ns/op": ten(10, 0.1), "allocs/op": zero},
+		"BenchmarkGone":   {"ns/op": ten(10, 0.1), "allocs/op": zero},
+	}
+	head := samples{
+		"BenchmarkShared": {"ns/op": ten(10, 0.1), "allocs/op": zero},
+		"BenchmarkNew":    {"ns/op": ten(1e9, 0), "allocs/op": ten(1e6, 0)},
+	}
+	got := map[string]string{}
+	for _, r := range judge(base, head) {
+		got[r.bench+" "+r.unit] = r.verdict
+		if r.losses != 0 {
+			t.Errorf("%s %s: %d losses, want 0", r.bench, r.unit, r.losses)
+		}
+	}
+	want := map[string]string{
+		"BenchmarkShared ns/op": "ok", "BenchmarkShared allocs/op": "ok",
+		"BenchmarkGone ns/op": "gone", "BenchmarkGone allocs/op": "gone",
+		"BenchmarkNew ns/op": "new", "BenchmarkNew allocs/op": "new",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("verdicts = %v, want %v", got, want)
+	}
+}
+
+// TestPrintTable shows every row, one-sided ones included, with each
+// side's median and quartiles, the change, the losses and the verdict.
+func TestPrintTable(t *testing.T) {
+	rows := judge(
+		samples{"BenchmarkA": {"ns/op": ten(100, 1), "allocs/op": make([]float64, pairs)}, "BenchmarkOld": {"ns/op": ten(5, 0)}},
+		samples{"BenchmarkA": {"ns/op": ten(110, 1), "allocs/op": make([]float64, pairs)}, "BenchmarkNew": {"ns/op": ten(7, 0)}},
+	)
+	var sb strings.Builder
+	if err := printTable(&sb, rows); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
+	want := [][]string{
+		{"benchmark", "metric", "base", "median", "base", "q1-q3", "head", "median", "head", "q1-q3", "change", "head", "losses", "verdict"},
+		{"BenchmarkA", "ns/op", "104.5", "101.8-107.2", "114.5", "111.8-117.2", "+9.6%", "10/10", "REGRESSION"},
+		{"BenchmarkA", "allocs/op", "0", "0-0", "0", "0-0", "0", "0/10", "ok"},
+		{"BenchmarkNew", "ns/op", "-", "-", "7", "7-7", "-", "-", "new"},
+		{"BenchmarkOld", "ns/op", "5", "5-5", "-", "-", "-", "-", "gone"},
+	}
+	if len(lines) != len(want) {
+		t.Fatalf("table has %d lines, want %d:\n%s", len(lines), len(want), sb.String())
+	}
+	for i, l := range lines {
+		if got := strings.Fields(l); !reflect.DeepEqual(got, want[i]) {
+			t.Errorf("line %d = %q, want %q", i, got, want[i])
+		}
 	}
 }
