@@ -18,6 +18,7 @@ import (
 // must produce. The same digests hold for every -j.
 type cliPin struct {
 	cmd    string
+	mode   string   // subtest name suffix telling apart pins of one command
 	args   []string // flags; the trailing app, if any, goes in apps
 	apps   []string
 	jobs   bool   // the command takes -j (and -http)
@@ -64,10 +65,135 @@ var cliPins = []cliPin{
 		stderr: "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
 		digest: "2bd2665425f74648b22d6b81bdaf0177e1a4ca369d0d9246088f3c5a89f313eb",
 	},
+	// One pin per remaining figure6 and tables mode, on matmul.
+	{
+		cmd:    "figure6",
+		mode:   "finite",
+		args:   []string{"-finite", "-procs", "4", "-manifest", "m.json"},
+		apps:   []string{"matmul"},
+		jobs:   true,
+		stdout: "3dfa47dfa01ec672a640eccbb5b1f223c2e6f11e8520c29b9b052519c94b91c8",
+		stderr: "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+		digest: "24ffd21c0d889981acdf07369bbbd7ac57492b9b6f703517f283922d22fe2619",
+	},
+	{
+		cmd:    "figure6",
+		mode:   "adaptive",
+		args:   []string{"-adaptive", "-procs", "4", "-manifest", "m.json"},
+		apps:   []string{"matmul"},
+		jobs:   true,
+		stdout: "397bc891d47158b74bf2956d4eaddb3a9f3f82c4425d70b8cdb7179f06ef5790",
+		stderr: "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+		digest: "6930c6a4b6fb1c9648dbee5d90156e9106e44bfa0f34577c932fe2548eb7bd3b",
+	},
+	{
+		cmd:    "figure6",
+		mode:   "bars",
+		args:   []string{"-bars", "-procs", "4", "-manifest", "m.json"},
+		apps:   []string{"matmul"},
+		jobs:   true,
+		stdout: "1cce3258c30acf5168c2c1fe6def01d706a58d1e4ad28cfd8d79a698a2ac158d",
+		stderr: "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+		digest: "ea5b492c5ab12e2ac536698f002870a3622e615c00136bf40a6678833efda82f",
+	},
+	{
+		cmd:    "figure6",
+		mode:   "stalls",
+		args:   []string{"-stalls", "-procs", "4", "-manifest", "m.json"},
+		apps:   []string{"matmul"},
+		jobs:   true,
+		stdout: "38ecbb98873f87aae1b2a6592884198e0a871bbd41e8b79b7919b696602abbbc",
+		stderr: "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+		digest: "24090731579ec473574c33f07325ee3cb6896c1a276caebdcb69dd5dd969908e",
+	},
+	{
+		cmd:    "figure6",
+		mode:   "degrees",
+		args:   []string{"-degrees", "1,2", "-app", "matmul", "-procs", "4", "-manifest", "m.json"},
+		jobs:   true,
+		stdout: "cf1f8c60b44e6cdad9c47dae279bf1840c60fc0b232e1d9f13156bbc1a1a1dd5",
+		stderr: "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+		digest: "be17582270463c2b5ee89e682411c7f9cd5a46833a6f8ff22cc8aa1fa222dc5e",
+	},
+	{
+		cmd:    "figure6",
+		mode:   "slcsweep",
+		args:   []string{"-slcsweep", "8192,16384", "-app", "matmul", "-procs", "4", "-manifest", "m.json"},
+		jobs:   true,
+		stdout: "1a8014c250dac1efb78130dfd1a9ac49790798c105b3198e783502c5a6c12068",
+		stderr: "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+		digest: "407a0a7f9c7aead2ca9d72f7ac4cb50362404c63a50459ca49994b25c21f46d1",
+	},
+	{
+		cmd:    "figure6",
+		mode:   "extensions",
+		args:   []string{"-extensions", "-app", "matmul", "-procs", "4", "-manifest", "m.json"},
+		jobs:   true,
+		stdout: "aeb35514ddba05c0c61cc496f232f5eee85af9fa4789034fe95594e33df3131f",
+		stderr: "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+		digest: "b72477362ca6bacacc7f8de70ccc6b24117ec00caa6498f5da9c62f844d0b924",
+	},
+	{
+		cmd:    "figure6",
+		mode:   "zoo",
+		args:   []string{"-zoo", "-app", "matmul", "-procs", "4", "-manifest", "m.json"},
+		jobs:   true,
+		stdout: "9882e7917b5ba0e58fa5a773c4cbc4320629612060fd2f980ae3408e36ddd501",
+		stderr: "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+		digest: "fcd02158a6ef31e0c9c440785897e79a9d27d3d2b014f3b95081803861ffc88e",
+	},
+	{
+		cmd:    "figure6",
+		mode:   "bandwidth",
+		args:   []string{"-bandwidth", "1,2", "-app", "matmul", "-procs", "4", "-manifest", "m.json"},
+		jobs:   true,
+		stdout: "758611bb7abd2f0a041b7dfe133e6b419def594a59288f46e17d6bdb458d4d01",
+		stderr: "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+		digest: "2d5d266f7641bddd75bdfc2837cf008db6f4648ad6e2e40558dd9bcb4200d0b2",
+	},
+	{
+		cmd:    "figure6",
+		mode:   "assoc",
+		args:   []string{"-assoc", "1,2", "-app", "matmul", "-procs", "4", "-manifest", "m.json"},
+		jobs:   true,
+		stdout: "3e32aa6cd178a341d4fa11bd61e876d12b783c6c526b73c5f3897f2c029b655a",
+		stderr: "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+		digest: "e4f3402799103b89f556f5d165d1905a26fe7053d0adeca701746ec59c4fcfdc",
+	},
+	{
+		cmd:    "figure6",
+		mode:   "consistency",
+		args:   []string{"-consistency", "-procs", "4", "-manifest", "m.json"},
+		apps:   []string{"matmul"},
+		jobs:   true,
+		stdout: "74b360c7b2a3f16eaebc1e54200576bb80f14d8a4f3da7b5115b5fd4338bba15",
+		stderr: "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+		digest: "50fc19730599ee4de814821ffde3b1ec41b571b549ee12975957dfe466507bf5",
+	},
+	{
+		cmd:    "tables",
+		mode:   "table2",
+		args:   []string{"-table", "2", "-procs", "4", "-manifest", "m.json"},
+		apps:   []string{"matmul"},
+		jobs:   true,
+		stdout: "a9764e24c1419adc65a12c305ac7a2e52803ab2d6ddc9d099d49e6455f6d7390",
+		stderr: "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+		digest: "d6d7c4beba135bd73d403fb23f762bcbe192ea4986e288164668dbc92126e66e",
+	},
+	{
+		cmd:    "tables",
+		mode:   "table4",
+		args:   []string{"-table", "4", "-procs", "4", "-manifest", "m.json"},
+		apps:   []string{"matmul"},
+		jobs:   true,
+		stdout: "f72b3cdbe6d0d0bd10fd5507cb57f5af2b1bdb0a69ea3ebd0b5b02e03161c757",
+		stderr: "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+		digest: "34b79ec7c8db708343ba7e5ad606e35802789ea9e969254030b986ae155a6344",
+	},
 }
 
-// TestCLIOutputPinned builds the four batch commands and runs each on a
-// small fixed configuration with the manifest and metric totals on,
+// TestCLIOutputPinned builds the four batch commands and runs each (and
+// every figure6 and tables mode) on a small fixed configuration with the manifest and metric totals on,
 // serially and across four workers with the status endpoint up. Their
 // stdout, stderr, CSV and manifest digests are pinned: the figures and
 // tables a reader regenerates must not drift byte-for-byte. -short
@@ -76,8 +202,12 @@ func TestCLIOutputPinned(t *testing.T) {
 	bin := t.TempDir()
 	gocmd := filepath.Join(runtime.GOROOT(), "bin", "go")
 	args := []string{"build", "-o", bin + string(filepath.Separator)}
+	built := map[string]bool{}
 	for _, p := range cliPins {
-		args = append(args, "./cmd/"+p.cmd)
+		if !built[p.cmd] {
+			built[p.cmd] = true
+			args = append(args, "./cmd/"+p.cmd)
+		}
 	}
 	if out, err := exec.Command(gocmd, args...).CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
@@ -99,7 +229,11 @@ func TestCLIOutputPinned(t *testing.T) {
 				continue
 			}
 			argv = append(argv, p.apps...)
-			t.Run(p.cmd+"/j="+strconv.Itoa(j), func(t *testing.T) {
+			name := p.cmd
+			if p.mode != "" {
+				name += "-" + p.mode
+			}
+			t.Run(name+"/j="+strconv.Itoa(j), func(t *testing.T) {
 				runPinned(t, filepath.Join(bin, p.cmd), argv, p)
 			})
 		}
