@@ -45,123 +45,80 @@ func main() {
 	stalls := flag.Bool("stalls", false, "print the execution-time stall decomposition (busy/read/write/sync) per app and scheme")
 	flag.Parse()
 
-	opt := cli.Start()
-	var rendered []string
-
+	// Each mode is one spec kind; the single-application modes study
+	// -app instead of the positional applications.
+	spec := cli.Spec("figure6")
+	on := func(kind string) {
+		spec.Kind, spec.Apps = kind, []string{*app}
+	}
+	var title string
 	switch {
 	case *stalls:
-		fmt.Println("Execution-time stall decomposition (fractions of summed per-node time)")
-		rows, err := prefetchsim.StallBreakdown(opt)
-		cli.ExitOn(err)
-		rendered = render(rows)
-		prev := ""
-		for _, r := range rows {
-			if r.App != prev && prev != "" {
-				fmt.Println()
-			}
-			prev = r.App
-			fmt.Println(" ", r)
-		}
+		spec.Kind = "stalls"
+		title = "Execution-time stall decomposition (fractions of summed per-node time)"
 	case *bandwidth != "":
-		fs, err := batchcli.Ints(*bandwidth)
-		cli.ExitOn(err)
-		fmt.Printf("Bandwidth-limitation study (§7) on %s\n", *app)
-		rows, err := prefetchsim.BandwidthSweep(*app, fs, opt)
-		cli.ExitOn(err)
-		rendered = render(rows)
-		for _, r := range rows {
-			fmt.Println(" ", r)
-		}
+		on("bandwidth")
+		spec.Bandwidths = cli.Ints(*bandwidth)
+		title = fmt.Sprintf("Bandwidth-limitation study (§7) on %s", *app)
 	case *assoc != "":
-		ws, err := batchcli.Ints(*assoc)
-		cli.ExitOn(err)
-		fmt.Printf("SLC associativity ablation (16 KB) on %s\n", *app)
-		rows, err := prefetchsim.AssocSweep(*app, ws, opt)
-		cli.ExitOn(err)
-		rendered = render(rows)
-		for _, r := range rows {
-			fmt.Println(" ", r)
-		}
+		on("assoc")
+		spec.Ways = cli.Ints(*assoc)
+		title = fmt.Sprintf("SLC associativity ablation (16 KB) on %s", *app)
 	case *extensions:
-		fmt.Printf("Extension schemes (§6) on %s\n", *app)
-		rows, err := prefetchsim.ExtensionCompare(*app, opt)
-		cli.ExitOn(err)
-		rendered = render(rows)
-		print(rows)
+		on("extensions")
+		title = fmt.Sprintf("Extension schemes (§6) on %s", *app)
 	case *zoo:
-		fmt.Printf("Prefetcher zoo vs the paper's schemes on %s\n", *app)
-		rows, err := prefetchsim.ZooCompare(*app, opt)
-		cli.ExitOn(err)
-		rendered = render(rows)
-		print(rows)
+		on("zoo")
+		title = fmt.Sprintf("Prefetcher zoo vs the paper's schemes on %s", *app)
 	case *consistency:
-		fmt.Println("Release vs sequential consistency (the paper assumes RC)")
-		rows, err := prefetchsim.ConsistencyCompare(opt)
-		cli.ExitOn(err)
-		rendered = render(rows)
-		for _, r := range rows {
-			fmt.Println(" ", r)
-		}
+		spec.Kind = "consistency"
+		title = "Release vs sequential consistency (the paper assumes RC)"
 	case *degrees != "":
-		ds, err := batchcli.Ints(*degrees)
-		cli.ExitOn(err)
-		fmt.Printf("Degree sweep: %s on %s\n", *scheme, *app)
-		rows, err := prefetchsim.DegreeSweep(*app, prefetchsim.Scheme(*scheme), ds, opt)
-		cli.ExitOn(err)
-		rendered = render(rows)
-		print(rows)
+		on("degrees")
+		spec.Schemes, spec.Degrees = []prefetchsim.Scheme{prefetchsim.Scheme(*scheme)}, cli.Ints(*degrees)
+		title = fmt.Sprintf("Degree sweep: %s on %s", *scheme, *app)
 	case *slcsweep != "":
-		ss, err := batchcli.Ints(*slcsweep)
-		cli.ExitOn(err)
-		fmt.Printf("SLC-size sweep: %s on %s\n", *scheme, *app)
-		rows, err := prefetchsim.SLCSweep(*app, prefetchsim.Scheme(*scheme), ss, opt)
-		cli.ExitOn(err)
-		rendered = render(rows)
-		print(rows)
+		on("slc")
+		spec.Schemes, spec.SLCs = []prefetchsim.Scheme{prefetchsim.Scheme(*scheme)}, cli.Ints(*slcsweep)
+		title = fmt.Sprintf("SLC-size sweep: %s on %s", *scheme, *app)
 	default:
-		schemes := prefetchsim.Schemes()
 		if *adaptive {
-			schemes = append(schemes, prefetchsim.Adaptive)
+			spec.Schemes = append(prefetchsim.Schemes(), prefetchsim.Adaptive)
 		}
-		var rows []prefetchsim.Fig6Row
-		var err error
+		spec.Finite = *finite
+		title = "Figure 6: relative read misses, prefetch efficiency, relative read stall (infinite SLC, d=1)"
 		if *finite {
-			fmt.Printf("Figure 6 (finite %d-byte SLC): relative read misses, prefetch efficiency, relative read stall\n",
+			title = fmt.Sprintf("Figure 6 (finite %d-byte SLC): relative read misses, prefetch efficiency, relative read stall",
 				prefetchsim.FiniteSLCBytes)
-			rows, err = prefetchsim.Figure6Finite(opt, schemes...)
-		} else {
-			fmt.Println("Figure 6: relative read misses, prefetch efficiency, relative read stall (infinite SLC, d=1)")
-			rows, err = prefetchsim.Figure6(opt, schemes...)
-		}
-		cli.ExitOn(err)
-		rendered = render(rows)
-		if *bars {
-			fmt.Print(prefetchsim.RenderBars(rows))
-		} else {
-			print(rows)
 		}
 	}
+	fmt.Println(title)
 
-	cli.Finish(os.Stdout, rendered)
-}
-
-// render flattens a row slice to its String() forms, in row order, for
-// the sweep manifest's digest.
-func render[R fmt.Stringer](rows []R) []string {
-	out := make([]string, len(rows))
-	for i, r := range rows {
-		out[i] = r.String()
-	}
-	return out
-}
-
-func print(rows []prefetchsim.Fig6Row) {
+	// Rows print as they complete, a blank line between applications;
+	// -bars draws the Figure 6 panels once every row is in.
+	var fig6 []prefetchsim.Fig6Row
+	drawBars := *bars && spec.Kind == "figure6"
 	prev := ""
-	for _, r := range rows {
-		if r.App != prev && prev != "" {
+	cli.ExitOn(cli.Execute(spec, func(r fmt.Stringer) {
+		if drawBars {
+			fig6 = append(fig6, r.(prefetchsim.Fig6Row))
+			return
+		}
+		app := ""
+		switch r := r.(type) {
+		case prefetchsim.Fig6Row:
+			app = r.App
+		case prefetchsim.StallRow:
+			app = r.App
+		}
+		if app != prev && prev != "" {
 			fmt.Println()
 		}
-		prev = r.App
+		prev = app
 		fmt.Println(" ", r)
+	}))
+	if drawBars {
+		fmt.Print(prefetchsim.RenderBars(fig6))
 	}
+	cli.Finish(os.Stdout)
 }

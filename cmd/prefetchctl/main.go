@@ -8,15 +8,18 @@
 //	prefetchctl cancel j1
 //	prefetchctl list
 //	prefetchctl status
+//	prefetchctl submit -spec '{"kind":"table2","apps":["lu"],"procs":4}'
 //
-// submit builds the job spec from flags (or takes it verbatim via
-// -spec / -f). With -stream the NDJSON stream goes to stdout and the
-// exit status reflects the job's terminal state; without it the
-// submission record prints and the job runs server-side.
+// submit builds a prefetchsim.Spec from flags — a single run or a
+// Figure-6 sweep — or takes a spec of any kind verbatim via -spec / -f.
+// With -stream the NDJSON stream goes to stdout and the exit status
+// reflects the job's terminal state; without it the submission record
+// prints and the job runs server-side.
 package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -24,6 +27,8 @@ import (
 	"net/http"
 	"os"
 	"strings"
+
+	"prefetchsim"
 )
 
 func fatalf(format string, args ...any) {
@@ -54,22 +59,42 @@ func main() {
 	}
 	base := "http://" + *addr
 	cmd, args := flag.Arg(0), flag.Args()[1:]
+	// job is the URL of the job the command's one argument names.
+	job := func() string {
+		if len(args) != 1 {
+			fatalf("usage: %s <id>", cmd)
+		}
+		return base + "/jobs/" + args[0]
+	}
 	switch cmd {
 	case "submit":
 		cmdSubmit(base, args)
 	case "watch":
-		cmdWatch(base, args)
+		watch(do(http.MethodGet, job()+"/events", nil))
 	case "fetch":
-		cmdFetch(base, args)
+		copyStream(do(http.MethodGet, job()+"/stream", nil))
 	case "cancel":
-		cmdCancel(base, args)
+		copyBody(do(http.MethodDelete, job(), nil))
 	case "list":
-		cmdGet(base + "/jobs")
+		copyBody(do(http.MethodGet, base+"/jobs", nil))
 	case "status":
-		cmdGet(base + "/status")
+		copyBody(do(http.MethodGet, base+"/status", nil))
 	default:
 		usage()
 	}
+}
+
+// do sends one request, exiting on a transport error.
+func do(method, url string, body io.Reader) *http.Response {
+	req, err := http.NewRequest(method, url, body)
+	if err == nil {
+		var resp *http.Response
+		if resp, err = http.DefaultClient.Do(req); err == nil {
+			return resp
+		}
+	}
+	fatalf("%s %s: %v", method, url, err)
+	return nil
 }
 
 func envOr(key, def string) string {
@@ -79,28 +104,11 @@ func envOr(key, def string) string {
 	return def
 }
 
-// spec mirrors prefetchd's jobSpec (the wire format).
-type spec struct {
-	Kind    string         `json:"kind,omitempty"`
-	Config  map[string]any `json:"config,omitempty"`
-	Spans   bool           `json:"spans,omitempty"`
-	Apps    []string       `json:"apps,omitempty"`
-	Schemes []string       `json:"schemes,omitempty"`
-	Procs   int            `json:"procs,omitempty"`
-	Scale   int            `json:"scale,omitempty"`
-	Seed    uint64         `json:"seed,omitempty"`
-	Finite  bool           `json:"finite,omitempty"`
-	Metrics bool           `json:"metrics,omitempty"`
-}
-
-func splitList(s string) []string {
-	if s == "" {
-		return nil
-	}
-	var out []string
+func splitList[T ~string](s string) []T {
+	var out []T
 	for _, f := range strings.Split(s, ",") {
 		if f = strings.TrimSpace(f); f != "" {
-			out = append(out, f)
+			out = append(out, T(f))
 		}
 	}
 	return out
@@ -113,7 +121,7 @@ func cmdSubmit(base string, args []string) {
 		specFile = fs.String("f", "", "read the job spec JSON from a file (- = stdin)")
 		stream   = fs.Bool("stream", false, "stream the job's NDJSON to stdout")
 
-		figure6 = fs.Bool("figure6", false, "submit a Figure-6 sweep instead of a single run")
+		figure6 = fs.Bool("figure6", false, "submit a Figure-6 sweep instead of a single run (other kinds: -spec)")
 		apps    = fs.String("apps", "", "sweep: comma-separated applications (default: all)")
 		schemes = fs.String("schemes", "", "sweep: comma-separated schemes (default: I-det,D-det,Seq)")
 		finite  = fs.Bool("finite", false, "sweep: finite §5.3 SLC")
@@ -127,8 +135,8 @@ func cmdSubmit(base string, args []string) {
 		bw     = fs.Int("bw", 0, "run: bandwidth division factor")
 		spans  = fs.Bool("spans", false, "run: include the span summary")
 
-		procs   = fs.Int("procs", 0, "processors (default 16)")
-		scale   = fs.Int("scale", 0, "data-set scale (default 1)")
+		procs   = fs.Int("procs", 0, "processors (0 = the paper's)")
+		scale   = fs.Int("scale", 0, "data-set scale (0 = the paper's)")
 		seed    = fs.Uint64("seed", 0, "workload seed")
 		metrics = fs.Bool("metrics", false, "include metric totals")
 	)
@@ -149,27 +157,17 @@ func cmdSubmit(base string, args []string) {
 			fatalf("read spec: %v", err)
 		}
 	case *figure6:
-		body = mustMarshal(spec{
-			Kind: "figure6", Apps: splitList(*apps), Schemes: splitList(*schemes),
+		body = mustMarshal(prefetchsim.Spec{
+			Kind: "figure6", Apps: splitList[string](*apps), Schemes: splitList[prefetchsim.Scheme](*schemes),
 			Procs: *procs, Scale: *scale, Seed: *seed, Finite: *finite, Metrics: *metrics,
 		})
 	case *app != "":
-		cfg := map[string]any{"app": *app}
-		set := func(k string, v any, zero bool) {
-			if !zero {
-				cfg[k] = v
-			}
-		}
-		set("scheme", *scheme, *scheme == "")
-		set("degree", *degree, *degree == 0)
-		set("processors", *procs, *procs == 0)
-		set("slc_bytes", *slc, *slc == 0)
-		set("slc_ways", *ways, *ways == 0)
-		set("scale", *scale, *scale == 0)
-		set("seed", *seed, *seed == 0)
-		set("sequential_consistency", *sc, !*sc)
-		set("bandwidth_factor", *bw, *bw == 0)
-		body = mustMarshal(spec{Kind: "run", Config: cfg, Spans: *spans, Metrics: *metrics})
+		// Zero fields take the server's defaults.
+		body = mustMarshal(prefetchsim.Spec{Kind: "run", Config: &prefetchsim.RunConfig{
+			App: *app, Scheme: *scheme, Degree: *degree, Processors: *procs,
+			SLCBytes: *slc, SLCWays: *ways, Scale: *scale, Seed: *seed,
+			SequentialConsistency: *sc, BandwidthFactor: *bw,
+		}, Spans: *spans, Metrics: *metrics})
 	default:
 		fatalf("submit: need -app, -figure6, -spec or -f (see submit -h)")
 	}
@@ -178,11 +176,7 @@ func cmdSubmit(base string, args []string) {
 	if *stream {
 		url += "?stream=1"
 	}
-	resp, err := http.Post(url, "application/json", strings.NewReader(string(body)))
-	if err != nil {
-		fatalf("submit: %v", err)
-	}
-	defer resp.Body.Close()
+	resp := do(http.MethodPost, url, bytes.NewReader(body))
 	if *stream {
 		copyStream(resp)
 		return
@@ -193,6 +187,7 @@ func cmdSubmit(base string, args []string) {
 // copyStream relays an NDJSON stream to stdout and exits non-zero
 // unless the done trailer reports a successful job.
 func copyStream(resp *http.Response) {
+	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		io.Copy(os.Stderr, resp.Body)
 		fatalf("server returned %s", resp.Status)
@@ -223,6 +218,7 @@ func copyStream(resp *http.Response) {
 
 // copyBody relays a JSON response to stdout, failing on error codes.
 func copyBody(resp *http.Response) {
+	defer resp.Body.Close()
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
 		fatalf("read response: %v", err)
@@ -234,14 +230,8 @@ func copyBody(resp *http.Response) {
 	os.Stdout.Write(body)
 }
 
-func cmdWatch(base string, args []string) {
-	if len(args) != 1 {
-		fatalf("usage: watch <id>")
-	}
-	resp, err := http.Get(base + "/jobs/" + args[0] + "/events")
-	if err != nil {
-		fatalf("watch: %v", err)
-	}
+// watch prints the data of each server-sent progress event.
+func watch(resp *http.Response) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		io.Copy(os.Stderr, resp.Body)
@@ -256,43 +246,6 @@ func cmdWatch(base string, args []string) {
 	if err := sc.Err(); err != nil {
 		fatalf("watch: %v", err)
 	}
-}
-
-func cmdFetch(base string, args []string) {
-	if len(args) != 1 {
-		fatalf("usage: fetch <id>")
-	}
-	resp, err := http.Get(base + "/jobs/" + args[0] + "/stream")
-	if err != nil {
-		fatalf("fetch: %v", err)
-	}
-	defer resp.Body.Close()
-	copyStream(resp)
-}
-
-func cmdCancel(base string, args []string) {
-	if len(args) != 1 {
-		fatalf("usage: cancel <id>")
-	}
-	req, err := http.NewRequest(http.MethodDelete, base+"/jobs/"+args[0], nil)
-	if err != nil {
-		fatalf("cancel: %v", err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		fatalf("cancel: %v", err)
-	}
-	defer resp.Body.Close()
-	copyBody(resp)
-}
-
-func cmdGet(url string) {
-	resp, err := http.Get(url)
-	if err != nil {
-		fatalf("get %s: %v", url, err)
-	}
-	defer resp.Body.Close()
-	copyBody(resp)
 }
 
 func mustMarshal(v any) []byte {

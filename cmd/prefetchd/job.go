@@ -2,21 +2,11 @@ package main
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
-	"fmt"
-	"io"
 	"sync"
 	"time"
 
 	"prefetchsim"
-)
-
-// Job kinds: a single simulation or a Figure-6 sweep.
-const (
-	kindRun  = "run"
-	kindFig6 = "figure6"
 )
 
 // Job lifecycle states.
@@ -27,138 +17,6 @@ const (
 	statusFailed    = "failed"
 	statusCancelled = "cancelled"
 )
-
-// jobSpec is the POSTed description of one job: either a single
-// simulation (kind "run", via the manifest's flat RunConfig) or a
-// Figure-6 sweep (kind "figure6"). The normalized spec — defaults
-// applied — is the unit the result cache keys on, so equivalent
-// spellings of the same job share one cache entry.
-type jobSpec struct {
-	Kind string `json:"kind,omitempty"`
-
-	// Single-run jobs.
-	Config *prefetchsim.RunConfig `json:"config,omitempty"`
-	// Spans adds the per-class span aggregate to a run job's payload.
-	Spans bool `json:"spans,omitempty"`
-
-	// Figure-6 sweep jobs.
-	Apps    []string `json:"apps,omitempty"`
-	Schemes []string `json:"schemes,omitempty"`
-	Procs   int      `json:"procs,omitempty"`
-	Scale   int      `json:"scale,omitempty"`
-	Seed    uint64   `json:"seed,omitempty"`
-	Finite  bool     `json:"finite,omitempty"`
-
-	// Metrics adds machine-wide metric totals to the payload (both
-	// kinds).
-	Metrics bool `json:"metrics,omitempty"`
-}
-
-// decodeSpec reads one POSTed job spec. Unknown fields are an error,
-// so a misspelled option is rejected instead of silently defaulted.
-func decodeSpec(r io.Reader) (jobSpec, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var spec jobSpec
-	if err := dec.Decode(&spec); err != nil {
-		return spec, fmt.Errorf("decode job spec: %w", err)
-	}
-	return spec, nil
-}
-
-// normalize validates the spec and applies the simulator's defaults,
-// so the digest of two equivalent submissions collides.
-func (s jobSpec) normalize() (jobSpec, error) {
-	if s.Kind == "" {
-		switch {
-		case s.Config != nil:
-			s.Kind = kindRun
-		case len(s.Apps) > 0 || len(s.Schemes) > 0:
-			s.Kind = kindFig6
-		default:
-			return s, fmt.Errorf("empty job spec: set kind, config or apps")
-		}
-	}
-	switch s.Kind {
-	case kindRun:
-		if s.Config == nil {
-			return s, fmt.Errorf("run job needs a config")
-		}
-		if len(s.Apps) > 0 || len(s.Schemes) > 0 || s.Procs != 0 || s.Scale != 0 || s.Seed != 0 || s.Finite {
-			return s, fmt.Errorf("run job: sweep fields (apps/schemes/procs/scale/seed/finite) belong in config")
-		}
-		c := *s.Config
-		if c.App == "" {
-			return s, fmt.Errorf("run job: config.app is required")
-		}
-		if c.Scheme == "" {
-			c.Scheme = string(prefetchsim.Baseline)
-		}
-		if c.Degree == 0 {
-			c.Degree = 1
-		}
-		if c.Processors == 0 {
-			c.Processors = 16
-		}
-		if c.Scale == 0 {
-			c.Scale = 1
-		}
-		s.Config = &c
-	case kindFig6:
-		if s.Config != nil || s.Spans {
-			return s, fmt.Errorf("figure6 job: config/spans are run-job fields")
-		}
-		if len(s.Apps) == 0 {
-			s.Apps = prefetchsim.Apps()
-		}
-		if len(s.Schemes) == 0 {
-			for _, sc := range prefetchsim.Schemes() {
-				s.Schemes = append(s.Schemes, string(sc))
-			}
-		}
-		if s.Procs == 0 {
-			s.Procs = 16
-		}
-		if s.Scale == 0 {
-			s.Scale = 1
-		}
-	default:
-		return s, fmt.Errorf("unknown job kind %q", s.Kind)
-	}
-	return s, nil
-}
-
-// digest is the normalized spec's content address — the result-cache
-// key. Run jobs lead with the manifest's config+seed digest (the same
-// address obs manifests record), suffixed with the payload options;
-// sweeps hash the whole normalized spec.
-func (s jobSpec) digest() string {
-	if s.Kind == kindRun {
-		d := "run-" + s.Config.Digest()
-		if s.Metrics {
-			d += "-m"
-		}
-		if s.Spans {
-			d += "-s"
-		}
-		return d
-	}
-	buf, err := json.Marshal(s)
-	if err != nil {
-		panic("prefetchd: marshal jobSpec: " + err.Error())
-	}
-	sum := sha256.Sum256(buf)
-	return "fig6-" + hex.EncodeToString(sum[:])
-}
-
-// totalSims is the job's progress denominator (sweep baselines are
-// cached per app, so they are not counted as separate progress units).
-func (s jobSpec) totalSims() int {
-	if s.Kind == kindRun {
-		return 1
-	}
-	return len(s.Apps) * len(s.Schemes)
-}
 
 // jobSpans is one job's lifecycle span record: the wall-clock stamp of
 // every state the job passed through, mirroring the simulator's
@@ -294,7 +152,7 @@ func splitLines(data []byte) [][]byte {
 // without the job ever blocking on a slow client.
 type job struct {
 	id      string
-	spec    jobSpec
+	spec    prefetchsim.Spec
 	digest  string
 	created time.Time
 	cancel  func() // nil for jobs born terminal (cache hits)
@@ -311,17 +169,16 @@ type job struct {
 	cache  string
 	spans  jobSpans
 	lines  [][]byte // payload lines emitted so far
-	done   int
+	done   int      // simulations finished, of total (0/0 for a cache hit)
 	total  int
 	wallNS int64
 	errMsg string
 }
 
-func newJob(id string, spec jobSpec, digest string) *job {
+func newJob(id string, spec prefetchsim.Spec, digest string) *job {
 	j := &job{
 		id: id, spec: spec, digest: digest, created: time.Now(),
 		notify: make(chan struct{}), status: statusQueued,
-		total: spec.totalSims(),
 	}
 	j.spans.SubmitUnixNS = j.created.UnixNano()
 	return j
@@ -339,82 +196,63 @@ func (j *job) setStatusLocked(st string) {
 	j.status = st
 }
 
-// signalLocked wakes every watcher. Callers hold j.mu.
-func (j *job) signalLocked() {
+// update changes the job under its lock and wakes every watcher.
+func (j *job) update(change func()) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	change()
 	close(j.notify)
 	j.notify = make(chan struct{})
 }
 
-func (j *job) setCache(c string) {
-	j.mu.Lock()
-	j.cache = c
-	j.signalLocked()
-	j.mu.Unlock()
-}
+func (j *job) setCache(c string) { j.update(func() { j.cache = c }) }
 
 // enqueued stamps the job's entry into the admission queue.
-func (j *job) enqueued() {
-	j.mu.Lock()
-	j.spans.QueuedUnixNS = time.Now().UnixNano()
-	j.signalLocked()
-	j.mu.Unlock()
-}
+func (j *job) enqueued() { j.update(func() { j.spans.QueuedUnixNS = time.Now().UnixNano() }) }
 
 // admitted stamps the job winning an execution slot, carrying the
 // microsecond wait the server observed into the runner wait histogram.
 func (j *job) admitted(waitUS int64) {
-	j.mu.Lock()
-	j.spans.AdmittedUnixNS = time.Now().UnixNano()
-	j.spans.WaitUS = waitUS
-	j.signalLocked()
-	j.mu.Unlock()
+	j.update(func() { j.spans.AdmittedUnixNS, j.spans.WaitUS = time.Now().UnixNano(), waitUS })
 }
 
 func (j *job) start() {
-	j.mu.Lock()
-	j.setStatusLocked(statusRunning)
-	j.spans.RunningUnixNS = time.Now().UnixNano()
-	j.signalLocked()
-	j.mu.Unlock()
+	j.update(func() {
+		j.setStatusLocked(statusRunning)
+		j.spans.RunningUnixNS = time.Now().UnixNano()
+	})
 }
 
-func (j *job) setProgress(done, total int) {
-	j.mu.Lock()
-	j.done, j.total = done, total
-	j.signalLocked()
-	j.mu.Unlock()
-}
+func (j *job) setProgress(done, total int) { j.update(func() { j.done, j.total = done, total }) }
 
 func (j *job) appendPayload(lines ...[]byte) {
 	if len(lines) == 0 {
 		return
 	}
-	j.mu.Lock()
-	if j.spans.StreamingUnixNS == 0 {
-		j.spans.StreamingUnixNS = time.Now().UnixNano()
-	}
-	j.lines = append(j.lines, lines...)
-	j.signalLocked()
-	j.mu.Unlock()
+	j.update(func() {
+		if j.spans.StreamingUnixNS == 0 {
+			j.spans.StreamingUnixNS = time.Now().UnixNano()
+		}
+		j.lines = append(j.lines, lines...)
+	})
 }
 
 // finish settles the job to a terminal state. runUS is the
 // admitted→settled microsecond value the server observed into the
 // runner run histogram (0 for jobs that were never admitted).
 func (j *job) finish(status string, wall time.Duration, err error, runUS int64) {
-	j.mu.Lock()
-	j.setStatusLocked(status)
-	j.spans.DoneUnixNS = time.Now().UnixNano()
-	j.spans.RunUS = runUS
-	j.wallNS = wall.Nanoseconds()
-	if err != nil {
-		j.errMsg = err.Error()
-	}
-	if status == statusDone {
-		j.done = j.total
-	}
-	j.signalLocked()
-	j.mu.Unlock()
+	j.update(func() {
+		j.setStatusLocked(status)
+		j.spans.DoneUnixNS = time.Now().UnixNano()
+		j.spans.RunUS = runUS
+		j.wallNS = wall.Nanoseconds()
+		if err != nil {
+			j.errMsg = err.Error()
+		}
+		if status == statusDone {
+			j.done = j.total
+		}
+	})
 }
 
 // completeCached makes the job terminal with the cached payload: born
@@ -422,17 +260,14 @@ func (j *job) finish(status string, wall time.Duration, err error, runUS int64) 
 // Its span never queues or runs — submit, streaming and done are the
 // only stamps.
 func (j *job) completeCached(payload []byte, wall time.Duration) {
-	j.mu.Lock()
-	j.cache = "hit"
-	j.setStatusLocked(statusDone)
-	j.lines = splitLines(payload)
-	now := time.Now().UnixNano()
-	j.spans.StreamingUnixNS = now
-	j.spans.DoneUnixNS = now
-	j.done = j.total
-	j.wallNS = wall.Nanoseconds()
-	j.signalLocked()
-	j.mu.Unlock()
+	j.update(func() {
+		j.cache = "hit"
+		j.setStatusLocked(statusDone)
+		j.lines = splitLines(payload)
+		j.spans.StreamingUnixNS = time.Now().UnixNano()
+		j.spans.DoneUnixNS = j.spans.StreamingUnixNS
+		j.wallNS = wall.Nanoseconds()
+	})
 }
 
 func (j *job) recordLocked() jobRecord {

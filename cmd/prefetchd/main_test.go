@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -20,50 +22,50 @@ func TestSpecNormalize(t *testing.T) {
 	t.Parallel()
 
 	// Kind inference + defaults.
-	s, err := jobSpec{Config: &prefetchsim.RunConfig{App: "matmul"}}.normalize()
+	s, err := prefetchsim.Spec{Config: &prefetchsim.RunConfig{App: "matmul"}}.Normalize()
 	if err != nil {
 		t.Fatalf("normalize run: %v", err)
 	}
-	if s.Kind != kindRun || s.Config.Scheme != string(prefetchsim.Baseline) ||
+	if s.Kind != "run" || s.Config.Scheme != string(prefetchsim.Baseline) ||
 		s.Config.Degree != 1 || s.Config.Processors != 16 || s.Config.Scale != 1 {
 		t.Fatalf("run defaults not applied: %+v %+v", s, *s.Config)
 	}
 
-	s, err = jobSpec{Apps: []string{"lu"}}.normalize()
+	s, err = prefetchsim.Spec{Apps: []string{"lu"}}.Normalize()
 	if err != nil {
 		t.Fatalf("normalize figure6: %v", err)
 	}
-	if s.Kind != kindFig6 || len(s.Schemes) == 0 || s.Procs != 16 || s.Scale != 1 {
+	if s.Kind != "figure6" || len(s.Schemes) == 0 || s.Procs != 16 || s.Scale != 1 {
 		t.Fatalf("figure6 defaults not applied: %+v", s)
 	}
 
 	// Equivalent spellings digest identically; different work doesn't.
-	a, _ := jobSpec{Config: &prefetchsim.RunConfig{App: "matmul"}}.normalize()
-	b, _ := jobSpec{Kind: kindRun, Config: &prefetchsim.RunConfig{
-		App: "matmul", Scheme: "baseline", Degree: 1, Processors: 16, Scale: 1}}.normalize()
-	if a.digest() != b.digest() {
-		t.Errorf("equivalent specs digest differently: %s vs %s", a.digest(), b.digest())
+	a, _ := prefetchsim.Spec{Config: &prefetchsim.RunConfig{App: "matmul"}}.Normalize()
+	b, _ := prefetchsim.Spec{Kind: "run", Config: &prefetchsim.RunConfig{
+		App: "matmul", Scheme: "baseline", Degree: 1, Processors: 16, Scale: 1}}.Normalize()
+	if a.Digest() != b.Digest() {
+		t.Errorf("equivalent specs digest differently: %s vs %s", a.Digest(), b.Digest())
 	}
-	c, _ := jobSpec{Config: &prefetchsim.RunConfig{App: "matmul", Seed: 7}}.normalize()
-	if a.digest() == c.digest() {
-		t.Errorf("different seeds share a digest: %s", a.digest())
+	c, _ := prefetchsim.Spec{Config: &prefetchsim.RunConfig{App: "matmul", Seed: 7}}.Normalize()
+	if a.Digest() == c.Digest() {
+		t.Errorf("different seeds share a digest: %s", a.Digest())
 	}
-	d, _ := a, error(nil)
+	d := a
 	d.Metrics = true
-	if a.digest() == d.digest() {
+	if a.Digest() == d.Digest() {
 		t.Errorf("metrics flag not part of the digest")
 	}
 
 	// Invalid specs are rejected.
-	for _, bad := range []jobSpec{
+	for _, bad := range []prefetchsim.Spec{
 		{},
 		{Kind: "nope"},
-		{Kind: kindRun},
-		{Kind: kindRun, Config: &prefetchsim.RunConfig{}},
+		{Kind: "run"},
+		{Kind: "run", Config: &prefetchsim.RunConfig{}},
 		{Config: &prefetchsim.RunConfig{App: "matmul"}, Apps: []string{"lu"}},
-		{Kind: kindFig6, Spans: true},
+		{Kind: "figure6", Spans: true},
 	} {
-		if _, err := bad.normalize(); err == nil {
+		if _, err := bad.Normalize(); err == nil {
 			t.Errorf("spec %+v: want error", bad)
 		}
 	}
@@ -399,4 +401,119 @@ func TestEventsEndpoint(t *testing.T) {
 	if !sawDone {
 		t.Fatal("SSE stream ended without a done event")
 	}
+}
+
+// TestBadSpecRejectedServerSurvives: a spec whose application cannot be
+// built at its processor count answers 400 rather than panicking the
+// server, and the same server then runs a valid job.
+func TestBadSpecRejectedServerSurvives(t *testing.T) {
+	s, base := startTestServer(t, 2)
+	resp, err := http.Post(base+"/jobs", "application/json",
+		strings.NewReader(`{"config":{"app":"ocean","processors":2}}`))
+	if err != nil {
+		t.Fatalf("POST bad spec: %v", err)
+	}
+	var buf bytes.Buffer
+	buf.ReadFrom(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(buf.String(), "perfect square") {
+		t.Fatalf("bad spec: status %d body %s, want 400 naming the cause", resp.StatusCode, buf.String())
+	}
+	if n := s.badSpec.Value(); n != 1 {
+		t.Fatalf("jobs.spec.invalid = %d, want 1", n)
+	}
+	if _, _, done := submitStream(t, base, `{"config":{"app":"matmul","processors":4}}`); done.Status != statusDone {
+		t.Fatalf("valid job after the bad spec: %+v", done)
+	}
+}
+
+// TestEveryKindServable submits one spec of every kind (matmul, four
+// processors) and checks that its streamed rows are the rows the batch
+// commands print for it: those of the experiment function the kind
+// runs, and for the sweep kind the CSV the sweep command writes,
+// pinned in the root package's TestCLIOutputPinned.
+func TestEveryKindServable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode: runs every experiment kind")
+	}
+	_, base := startTestServer(t, 2)
+	o := prefetchsim.ExpOptions{Procs: 4, Apps: []string{"matmul"}, Workers: 2}
+	const app = `"apps":["matmul"],"procs":4`
+	for _, c := range []struct {
+		spec string
+		want func() ([]string, error)
+	}{
+		{`{"config":{"app":"matmul","processors":4}}`, func() ([]string, error) {
+			res, err := prefetchsim.Run(prefetchsim.Config{App: "matmul", Processors: 4})
+			if err != nil {
+				return nil, err
+			}
+			return prefetchsim.StatsLines(res.Stats), nil
+		}},
+		{`{"kind":"figure6",` + app + `,"finite":true}`, func() ([]string, error) { return texts(prefetchsim.Figure6Finite(o)) }},
+		{`{"kind":"stalls",` + app + `}`, func() ([]string, error) { return texts(prefetchsim.StallBreakdown(o)) }},
+		{`{"kind":"table2",` + app + `}`, func() ([]string, error) { return texts(prefetchsim.Table2(o)) }},
+		{`{"kind":"table3",` + app + `}`, func() ([]string, error) { return texts(prefetchsim.Table3(o)) }},
+		{`{"kind":"table4",` + app + `}`, func() ([]string, error) { return texts(prefetchsim.Table4(o)) }},
+		{`{"kind":"consistency",` + app + `}`, func() ([]string, error) { return texts(prefetchsim.ConsistencyCompare(o)) }},
+		{`{"kind":"zoo",` + app + `}`, func() ([]string, error) { return texts(prefetchsim.ZooCompare("matmul", o)) }},
+		{`{"kind":"extensions",` + app + `}`, func() ([]string, error) { return texts(prefetchsim.ExtensionCompare("matmul", o)) }},
+		{`{"kind":"degrees",` + app + `,"schemes":["Seq"],"degrees":[1,2]}`, func() ([]string, error) {
+			return texts(prefetchsim.DegreeSweep("matmul", prefetchsim.Seq, []int{1, 2}, o))
+		}},
+		{`{"kind":"slc",` + app + `,"schemes":["Seq"],"slcs":[8192,16384]}`, func() ([]string, error) {
+			return texts(prefetchsim.SLCSweep("matmul", prefetchsim.Seq, []int{8192, 16384}, o))
+		}},
+		{`{"kind":"bandwidth",` + app + `,"bandwidths":[1,2]}`, func() ([]string, error) {
+			return texts(prefetchsim.BandwidthSweep("matmul", []int{1, 2}, o))
+		}},
+		{`{"kind":"assoc",` + app + `,"ways":[1,2]}`, func() ([]string, error) {
+			return texts(prefetchsim.AssocSweep("matmul", []int{1, 2}, o))
+		}},
+	} {
+		want, err := c.want()
+		if err != nil {
+			t.Fatalf("%s: %v", c.spec, err)
+		}
+		if got := streamedRows(t, base, c.spec); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s streamed rows\n%q\nwant\n%q", c.spec, got, want)
+		}
+	}
+
+	// The sweep command's CSV for the same design: header plus rows.
+	rows := streamedRows(t, base, `{"kind":"sweep",`+app+`,"schemes":["baseline","Seq"],"degrees":[1],"slcs":[0],"ways":[1],"bandwidths":[1]}`)
+	csv := strings.Join(append([]string{strings.Join(prefetchsim.SweepColumns(), ",")}, rows...), "\n") + "\n"
+	const pinned = "2ffcf87505b85550d3cd5ebf46a4c3f5967990a26286c0934e7ec250f3e2b7d2"
+	if sum := sha256.Sum256([]byte(csv)); hex.EncodeToString(sum[:]) != pinned {
+		t.Errorf("sweep rows do not make the sweep command's CSV:\n%s", csv)
+	}
+}
+
+// streamedRows submits spec, checks the job succeeded and returns the
+// texts of its row lines.
+func streamedRows(t *testing.T, base, spec string) []string {
+	t.Helper()
+	_, payload, done := submitStream(t, base, spec)
+	if done.Status != statusDone {
+		t.Fatalf("%s: job ended %+v", spec, done)
+	}
+	var rows []string
+	for _, l := range payload {
+		var row rowLine
+		if err := json.Unmarshal(l, &row); err != nil {
+			t.Fatalf("bad payload line %q: %v", l, err)
+		}
+		if row.Type == "row" {
+			rows = append(rows, row.Text)
+		}
+	}
+	return rows
+}
+
+func texts[R fmt.Stringer](rows []R, err error) ([]string, error) {
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		out[i] = r.String()
+	}
+	return out, err
 }

@@ -132,8 +132,8 @@ func (s *server) onJobState(old, new string) {
 // submit registers a normalized spec as a job. Cache hits are born
 // terminal with the stored payload; misses start computing on their
 // own goroutine.
-func (s *server) submit(spec jobSpec) (*job, error) {
-	digest := spec.digest()
+func (s *server) submit(spec prefetchsim.Spec) (*job, error) {
+	digest := spec.Digest()
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
@@ -291,136 +291,41 @@ func (s *server) ready() (bool, string) {
 	return true, ""
 }
 
-// compute runs the simulation(s) and returns the deterministic payload
-// blob, streaming each payload line into j as it is produced.
+// compute executes the job's spec and returns the deterministic
+// payload blob, streaming each payload line into j as it is produced.
+// Rows stream in submission order, so the live stream is
+// byte-identical to the cached payload however many workers race.
 func (s *server) compute(ctx context.Context, j *job) ([]byte, error) {
-	if j.spec.Kind == kindRun {
-		return s.computeRun(ctx, j)
-	}
-	return s.computeFig6(ctx, j)
-}
-
-func (s *server) computeRun(ctx context.Context, j *job) ([]byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	rc := *j.spec.Config
-	cfg := prefetchsim.Config{
-		App:                   rc.App,
-		Scheme:                prefetchsim.Scheme(rc.Scheme),
-		Degree:                rc.Degree,
-		Processors:            rc.Processors,
-		SLCBytes:              rc.SLCBytes,
-		SLCWays:               rc.SLCWays,
-		Scale:                 rc.Scale,
-		Seed:                  rc.Seed,
-		SequentialConsistency: rc.SequentialConsistency,
-		BandwidthFactor:       rc.BandwidthFactor,
-		CollectMetrics:        j.spec.Metrics,
-	}
-	if j.spec.Spans {
-		cfg.Spans = &prefetchsim.SpanConfig{}
-	}
-	res, err := prefetchsim.Run(cfg)
-	if err != nil {
-		return nil, err
-	}
-	j.setProgress(1, 1)
-
-	texts := prefetchsim.StatsLines(res.Stats)
-	var lines [][]byte
-	for i, t := range texts {
-		lines = append(lines, mustJSON(rowLine{Type: "row", I: i, Total: len(texts), Text: t}))
-	}
-	if j.spec.Metrics {
-		lines = append(lines, mustJSON(metricsLine{Type: "metrics", Totals: res.Metrics.Totals()}))
-	}
-	if j.spec.Spans && res.Spans != nil && res.SpanTrace != nil {
-		sum := obs.SummarizeSpanStats(res.Spans, *res.SpanTrace)
-		lines = append(lines, mustJSON(spansLine{Type: "spans", Summary: sum}))
-	}
-	lines = append(lines, mustJSON(resultLine{
-		Type: "result", Kind: kindRun, Rows: len(texts),
-		RowsDigest:   prefetchsim.DigestRows(texts),
-		StatsDigest:  prefetchsim.StatsDigest(res.Stats),
-		ConfigDigest: rc.Digest(),
-		VirtualTime:  int64(res.Stats.ExecTime),
-	}))
-	j.appendPayload(lines...)
-	return joinLines(lines), nil
-}
-
-func (s *server) computeFig6(ctx context.Context, j *job) ([]byte, error) {
-	spec := j.spec
-	schemes := make([]prefetchsim.Scheme, len(spec.Schemes))
-	for i, sc := range spec.Schemes {
-		schemes[i] = prefetchsim.Scheme(sc)
-	}
-
-	// Rows are streamed in submission order as their contiguous prefix
-	// completes, so the live stream is byte-identical to the cached
-	// payload no matter how many workers race. Callbacks are
-	// serialized by the pool, so pending/next need no lock.
+	// The recorder's manifests carry the metric totals and a run's
+	// result-line digests.
+	spec, rec := j.spec, new(prefetchsim.ManifestRecorder)
+	opt := prefetchsim.ExpOptions{Ctx: ctx, Workers: s.workers, Progress: j.setProgress, Record: rec}
 	var all [][]byte
-	total := spec.totalSims()
 	var texts []string
-	pending := make(map[int]string)
-	next := 0
-	onRow := func(i, tot int, row fmt.Stringer) {
-		pending[i] = row.String()
-		var emit [][]byte
-		for {
-			text, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			texts = append(texts, text)
-			emit = append(emit, mustJSON(rowLine{Type: "row", I: next, Total: tot, Text: text}))
-			next++
-		}
-		if len(emit) > 0 {
-			all = append(all, emit...)
-			j.appendPayload(emit...)
-		}
-	}
-
-	opt := prefetchsim.ExpOptions{
-		Ctx:          ctx,
-		Procs:        spec.Procs,
-		Scale:        spec.Scale,
-		Seed:         spec.Seed,
-		Apps:         spec.Apps,
-		Workers:      s.workers,
-		OnRowIndexed: onRow,
-		Progress:     j.setProgress,
-	}
-	var rec *prefetchsim.ManifestRecorder
-	if spec.Metrics {
-		rec = new(prefetchsim.ManifestRecorder)
-		opt.Record = rec
-	}
-	var err error
-	if spec.Finite {
-		_, err = prefetchsim.Figure6Finite(opt, schemes...)
-	} else {
-		_, err = prefetchsim.Figure6(opt, schemes...)
-	}
+	err := spec.Execute(opt, func(i, total int, row fmt.Stringer) {
+		text := row.String()
+		texts = append(texts, text)
+		line := mustJSON(rowLine{Type: "row", I: i, Total: total, Text: text})
+		all = append(all, line)
+		j.appendPayload(line)
+	})
 	if err != nil {
 		return nil, err
-	}
-	if len(texts) != total {
-		return nil, fmt.Errorf("streamed %d of %d rows", len(texts), total)
 	}
 
 	var tail [][]byte
-	if rec != nil {
+	if spec.Metrics {
 		tail = append(tail, mustJSON(metricsLine{Type: "metrics", Totals: rec.Totals()}))
 	}
-	tail = append(tail, mustJSON(resultLine{
-		Type: "result", Kind: kindFig6, Rows: len(texts),
-		RowsDigest: prefetchsim.DigestRows(texts),
-	}))
+	res := resultLine{Type: "result", Kind: spec.Kind, Rows: len(texts), RowsDigest: prefetchsim.DigestRows(texts)}
+	if spec.Kind == "run" {
+		m := rec.Runs()[0]
+		if spec.Spans && m.Spans != nil {
+			tail = append(tail, mustJSON(spansLine{Type: "spans", Summary: m.Spans}))
+		}
+		res.StatsDigest, res.ConfigDigest, res.VirtualTime = m.StatsDigest, m.ConfigDigest, m.VirtualTime
+	}
+	tail = append(tail, mustJSON(res))
 	all = append(all, tail...)
 	j.appendPayload(tail...)
 	return joinLines(all), nil
@@ -529,13 +434,13 @@ func writeErr(w http.ResponseWriter, code int, err error) {
 }
 
 func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	spec, err := decodeSpec(r.Body)
+	spec, err := prefetchsim.DecodeSpec(r.Body)
 	if err != nil {
 		s.badSpec.Inc()
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	spec, err = spec.normalize()
+	spec, err = spec.Normalize()
 	if err != nil {
 		s.badSpec.Inc()
 		writeErr(w, http.StatusBadRequest, err)

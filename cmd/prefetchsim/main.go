@@ -5,6 +5,7 @@
 //
 //	prefetchsim -app lu -scheme Seq -degree 1
 //	prefetchsim -app ocean -scheme I-det -slc 16384 -chars
+//	prefetchsim -app water -representativeness -procs 4
 //	prefetchsim -app lu -scheme Seq -manifest run.json -metrics
 //	prefetchsim -app ocean -scheme Seq -spans spans.jsonl -timeline tl.jsonl
 package main
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"prefetchsim"
+	"prefetchsim/internal/apps/workload"
 	"prefetchsim/internal/prof"
 )
 
@@ -26,11 +28,12 @@ func main() {
 	scheme := flag.String("scheme", "baseline",
 		"prefetching scheme: baseline, I-det, D-det, Seq, Adaptive, Markov, Perceptron, BestOffset")
 	degree := flag.Int("degree", 1, "degree of prefetching d")
-	procs := flag.Int("procs", 16, "processor count")
+	procs := flag.Int("procs", workload.DefaultProcs, "processor count")
 	slc := flag.Int("slc", 0, "SLC size in bytes (0 = infinite)")
-	scale := flag.Int("scale", 1, "data-set scale (1 = paper inputs)")
+	scale := flag.Int("scale", workload.DefaultScale, "data-set scale (1 = paper inputs)")
 	seed := flag.Uint64("seed", 0, "workload seed")
-	chars := flag.Bool("chars", false, "print the Table 2/3 stride-sequence analysis of processor 0")
+	chars := flag.Bool("chars", false, "print the Table 2/3 stride-sequence analysis of processor 0: stride distribution and top load sites")
+	repr := flag.Bool("representativeness", false, "compare the Table 2 metrics across all processors (§5.1 check) and exit")
 	record := flag.String("record", "", "record the application's reference trace to this file and exit")
 	replay := flag.String("replay", "", "simulate a trace file recorded with -record instead of -app")
 	manifest := flag.String("manifest", "", "write the run's provenance manifest (JSON) to this file")
@@ -45,6 +48,15 @@ func main() {
 
 	exitOn(pf.Start())
 	defer func() { exitOn(pf.Stop()) }()
+
+	if *repr {
+		row, err := prefetchsim.Representativeness(*app, prefetchsim.ExpOptions{
+			Procs: *procs, Scale: *scale, Seed: *seed,
+		})
+		exitOn(err)
+		fmt.Println(row)
+		return
+	}
 
 	if *record != "" {
 		prog, err := prefetchsim.BuildApp(*app, prefetchsim.Params{
@@ -107,7 +119,7 @@ func main() {
 	}
 	fmt.Print(res.Stats)
 	if res.Chars != nil {
-		fmt.Println("processor-0 characteristics:", res.Chars)
+		printChars(res)
 	}
 	if *metrics {
 		fmt.Println("metrics:")
@@ -146,6 +158,35 @@ func main() {
 		m := prefetchsim.NewManifest(cfg, res, wall)
 		exitOn(m.WriteFile(*manifest))
 		fmt.Printf("manifest: %s (stats digest %s)\n", *manifest, m.StatsDigest)
+	}
+}
+
+// printChars prints the stride-sequence analysis of processor 0's SLC
+// read-miss stream — the methodology behind Tables 2 and 3 — with the
+// stride distribution and the load sites that miss most.
+func printChars(res *prefetchsim.Result) {
+	c := res.Chars
+	fmt.Printf("%s: processor-0 read-miss characteristics\n"+
+		"  total read misses:            %d\n"+
+		"  within stride sequences:      %.1f%%\n"+
+		"  stride sequences:             %d\n"+
+		"  average sequence length:      %.1f references\n"+
+		"  stride distribution (blocks, share of stride-sequence misses):\n",
+		res.App, c.TotalMisses, 100*c.FracInSequences(), c.Sequences, c.AvgSeqLen())
+	for i, s := range c.Strides() {
+		if i == 10 || s.Share < 0.01 {
+			break
+		}
+		fmt.Printf("    %6d  %5.1f%%\n", s.Stride, 100*s.Share)
+	}
+	fmt.Println("  top load sites (PC, misses, in-stride, dominant stride):")
+	for i, site := range res.Sites {
+		if i == 8 {
+			break
+		}
+		fmt.Printf("    pc=%-5d %7d misses  %5.1f%% in-stride  stride %d\n",
+			site.PC, site.Misses,
+			100*float64(site.StrideMisses)/float64(site.Misses), site.Dominant)
 	}
 }
 

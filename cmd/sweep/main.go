@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 
 	"prefetchsim"
@@ -28,90 +27,32 @@ import (
 	"prefetchsim/internal/prof"
 )
 
-var header = []string{
-	"app", "scheme", "degree", "slc_bytes", "slc_ways", "procs", "scale", "bandwidth_factor",
-	"exec_pclocks", "reads", "writes", "read_misses", "delayed_hits",
-	"cold_misses", "coherence_misses", "replacement_misses",
-	"read_stall", "write_stall", "sync_stall",
-	"prefetches_issued", "prefetches_useful", "prefetch_efficiency",
-	"net_messages", "net_flits", "net_flit_hops",
-}
-
-// spec is one sweep's full parameterization, decoded from the flags.
-type spec struct {
-	apps    []string
-	schemes []string
-	degrees []int
-	slcs    []int
-	ways    int
-	procs   int
-	scale   int
-	seed    uint64
-	bw      int
-	workers int
-}
-
-// configs expands the factorial design into one Config per CSV row, in
-// the deterministic order the rows are emitted.
-func (s spec) configs() []prefetchsim.Config {
-	var cfgs []prefetchsim.Config
-	for _, app := range s.apps {
-		for _, slc := range s.slcs {
-			for _, scheme := range s.schemes {
-				ds := s.degrees
-				if scheme == "baseline" {
-					ds = []int{1} // degree is meaningless without prefetching
-				}
-				for _, d := range ds {
-					cfgs = append(cfgs, prefetchsim.Config{
-						App:        app,
-						Scheme:     prefetchsim.Scheme(scheme),
-						Degree:     d,
-						Processors: s.procs, Scale: s.scale, Seed: s.seed,
-						SLCBytes: slc, SLCWays: s.ways, BandwidthFactor: s.bw,
-					})
-				}
-			}
-		}
-	}
-	return cfgs
-}
-
-// sweep runs the factorial design across spec.workers goroutines and
-// writes the CSV to w. A failed configuration is reported on errw and
-// skipped; the remaining rows are still written. It returns the number
-// of data rows written, the number of failed configurations and the
-// rendered rows (for the sweep manifest's digest). rec, when non-nil,
-// receives one provenance manifest per simulation; progress, when
-// non-nil, is called after each simulation with (done, total).
-func sweep(s spec, w, errw io.Writer, rec *prefetchsim.ManifestRecorder, progress func(done, total int)) (rows, failed int, rendered []string, err error) {
+// sweep runs a sweep spec through execute and writes its CSV to w. A
+// failed configuration is reported on errw and skipped; the remaining
+// rows are still written. It returns the number of data rows written
+// and the number of failed configurations.
+func sweep(spec prefetchsim.Spec, execute func(prefetchsim.Spec, func(fmt.Stringer)) error, w, errw io.Writer) (rows, failed int, err error) {
 	cw := csv.NewWriter(w)
-	if err := cw.Write(header); err != nil {
-		return 0, 0, nil, err
+	if err := cw.Write(prefetchsim.SweepColumns()); err != nil {
+		return 0, 0, err
 	}
-	cfgs := s.configs()
-	var results []*prefetchsim.Result
-	var errs []error
-	if rec != nil {
-		results, errs = prefetchsim.RunManyRecorded(cfgs, s.workers, rec, progress)
-	} else {
-		results, errs = prefetchsim.RunMany(cfgs, s.workers, progress)
-	}
-	for i, res := range results {
-		if errs[i] != nil {
-			failed++
-			fmt.Fprintf(errw, "sweep: %s/%s: %v\n", cfgs[i].App, cfgs[i].Scheme, errs[i])
-			continue
-		}
-		fields := record(res, cfgs[i])
-		if err := cw.Write(fields); err != nil {
-			return rows, failed, rendered, err
-		}
-		rendered = append(rendered, strings.Join(fields, ","))
+	runErr := execute(spec, func(r fmt.Stringer) {
+		_ = cw.Write(r.(prefetchsim.SweepRow)) // a write error sticks; cw.Error reports it after Flush
 		rows++
+	})
+	// Every failure is one configuration's ("app/scheme: why").
+	if runErr != nil {
+		errs := []error{runErr}
+		if j, ok := runErr.(interface{ Unwrap() []error }); ok {
+			errs = j.Unwrap()
+		}
+		for _, e := range errs {
+			fmt.Fprintf(errw, "sweep: %v\n", e)
+		}
+		failed = len(errs)
 	}
 	cw.Flush()
-	return rows, failed, rendered, cw.Error()
+	return rows, failed, cw.Error()
 }
 
 func main() {
@@ -139,68 +80,32 @@ func main() {
 		w = f
 	}
 
-	degreeList, err := batchcli.Ints(*degrees)
-	cli.ExitOn(err)
-	slcList, err := batchcli.Ints(*slcs)
+	spec := cli.Spec("sweep")
+	spec.Apps, spec.Schemes = splitTrim[string](*apps), splitTrim[prefetchsim.Scheme](*schemes)
+	spec.Degrees, spec.SLCs = cli.Ints(*degrees), cli.Ints(*slcs)
+	spec.Ways, spec.Bandwidths = []int{*ways}, []int{*bw}
+	// A spec the sweep cannot run at all is not a failed configuration.
+	spec, err := spec.Normalize()
 	cli.ExitOn(err)
 
-	opt := cli.Start()
-	s := spec{
-		apps:    splitTrim(*apps),
-		schemes: splitTrim(*schemes),
-		degrees: degreeList,
-		slcs:    slcList,
-		ways:    *ways, procs: opt.Procs, scale: opt.Scale, seed: opt.Seed, bw: *bw,
-		workers: opt.Workers,
-	}
-	rows, failed, rendered, err := sweep(s, w, os.Stderr, opt.Record, opt.Progress)
+	rows, failed, err := sweep(spec, cli.Execute, w, os.Stderr)
 	cli.ExitOn(err)
 	cli.ExitOn(pf.Stop())
 	if f != nil {
 		cli.ExitOn(f.Close())
 		fmt.Printf("wrote %d rows to %s\n", rows, *out)
 	}
-	cli.Finish(os.Stderr, rendered)
+	cli.Finish(os.Stderr)
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr, "sweep: %d of %d configurations failed\n", failed, rows+failed)
 		os.Exit(1)
 	}
 }
 
-func record(res *prefetchsim.Result, cfg prefetchsim.Config) []string {
-	st := res.Stats
-	var writes, delayed, cold, coh, repl, rstall, wstall, sstall, useful int64
-	for i := range st.Nodes {
-		n := &st.Nodes[i]
-		writes += n.Writes
-		delayed += n.DelayedHits
-		cold += n.ColdMisses
-		coh += n.CoherenceMisses
-		repl += n.ReplacementMisses
-		rstall += int64(n.ReadStall)
-		wstall += int64(n.WriteStall)
-		sstall += int64(n.SyncStall)
-		useful += n.PrefetchesUseful
-	}
-	i := strconv.Itoa
-	i64 := func(v int64) string { return strconv.FormatInt(v, 10) }
-	return []string{
-		res.App, string(res.Scheme), i(cfg.Degree), i(cfg.SLCBytes), i(cfg.SLCWays),
-		i(cfg.Processors), i(cfg.Scale), i(cfg.BandwidthFactor),
-		i64(int64(st.ExecTime)), i64(st.TotalReads()), i64(writes),
-		i64(st.TotalReadMisses()), i64(delayed),
-		i64(cold), i64(coh), i64(repl),
-		i64(rstall), i64(wstall), i64(sstall),
-		i64(st.TotalPrefetchesIssued()), i64(useful),
-		strconv.FormatFloat(st.PrefetchEfficiency(), 'f', 4, 64),
-		i64(st.NetMessages), i64(st.NetFlits), i64(st.NetFlitHops),
-	}
-}
-
-func splitTrim(csvList string) []string {
-	var out []string
+func splitTrim[T ~string](csvList string) []T {
+	var out []T
 	for _, f := range strings.Split(csvList, ",") {
-		out = append(out, strings.TrimSpace(f))
+		out = append(out, T(strings.TrimSpace(f)))
 	}
 	return out
 }

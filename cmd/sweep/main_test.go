@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/csv"
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -10,14 +11,23 @@ import (
 	"prefetchsim"
 )
 
-func testSpec() spec {
-	return spec{
-		apps:    []string{"matmul"},
-		schemes: []string{"baseline", "Seq"},
-		degrees: []int{1, 2},
-		slcs:    []int{0, 16384},
-		ways:    1, procs: 4, scale: 1, bw: 1,
-		workers: 4,
+func testSpec() prefetchsim.Spec {
+	return prefetchsim.Spec{
+		Kind:    "sweep",
+		Apps:    []string{"matmul"},
+		Schemes: []prefetchsim.Scheme{"baseline", "Seq"},
+		Degrees: []int{1, 2},
+		SLCs:    []int{0, 16384},
+		Ways:    []int{1}, Procs: 4, Scale: 1, Bandwidths: []int{1},
+	}
+}
+
+// execute runs a spec as the command does, on workers goroutines with
+// rec (which may be nil) recording its simulations.
+func execute(workers int, rec *prefetchsim.ManifestRecorder) func(prefetchsim.Spec, func(fmt.Stringer)) error {
+	return func(s prefetchsim.Spec, sink func(fmt.Stringer)) error {
+		o := prefetchsim.ExpOptions{Workers: workers, Record: rec}
+		return s.Execute(o, func(_, _ int, r fmt.Stringer) { sink(r) })
 	}
 }
 
@@ -27,7 +37,7 @@ func testSpec() spec {
 func TestSweepCSVRoundTrip(t *testing.T) {
 	var out, errs bytes.Buffer
 	rec := &prefetchsim.ManifestRecorder{}
-	rows, failed, rendered, err := sweep(testSpec(), &out, &errs, rec, nil)
+	rows, failed, err := sweep(testSpec(), execute(4, rec), &out, &errs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,9 +50,6 @@ func TestSweepCSVRoundTrip(t *testing.T) {
 	if rows != wantRows {
 		t.Fatalf("sweep reported %d rows, want %d", rows, wantRows)
 	}
-	if len(rendered) != wantRows {
-		t.Fatalf("rendered %d rows for the manifest, want %d", len(rendered), wantRows)
-	}
 	if rec.Len() != wantRows {
 		t.Fatalf("recorded %d run manifests, want %d", rec.Len(), wantRows)
 	}
@@ -54,6 +61,7 @@ func TestSweepCSVRoundTrip(t *testing.T) {
 	if len(records) != wantRows+1 {
 		t.Fatalf("CSV has %d records, want %d (header + %d rows)", len(records), wantRows+1, wantRows)
 	}
+	header := prefetchsim.SweepColumns()
 	if got := strings.Join(records[0], ","); got != strings.Join(header, ",") {
 		t.Fatalf("header = %q, want %q", got, strings.Join(header, ","))
 	}
@@ -81,11 +89,11 @@ func TestSweepCSVRoundTrip(t *testing.T) {
 // rows but the sweep still emits every other row.
 func TestSweepBadAppCompletesRest(t *testing.T) {
 	s := testSpec()
-	s.apps = []string{"nosuchapp", "matmul"}
-	s.degrees = []int{1}
-	s.slcs = []int{0}
+	s.Apps = []string{"nosuchapp", "matmul"}
+	s.Degrees = []int{1}
+	s.SLCs = []int{0}
 	var out, errs bytes.Buffer
-	rows, failed, _, err := sweep(s, &out, &errs, nil, nil)
+	rows, failed, err := sweep(s, execute(4, nil), &out, &errs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,12 +121,10 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	}
 	s := testSpec()
 	var serial, parallel bytes.Buffer
-	s.workers = 1
-	if _, _, _, err := sweep(s, &serial, &bytes.Buffer{}, nil, nil); err != nil {
+	if _, _, err := sweep(s, execute(1, nil), &serial, &bytes.Buffer{}); err != nil {
 		t.Fatal(err)
 	}
-	s.workers = 8
-	if _, _, _, err := sweep(s, &parallel, &bytes.Buffer{}, nil, nil); err != nil {
+	if _, _, err := sweep(s, execute(8, nil), &parallel, &bytes.Buffer{}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(serial.Bytes(), parallel.Bytes()) {

@@ -27,41 +27,19 @@ func main() {
 	table := flag.Int("table", 2, "table to regenerate: 2, 3 or 4")
 	flag.Parse()
 
-	opt := cli.Start()
-	var rendered []string
-
-	switch *table {
-	case 2:
-		fmt.Println("Table 2: application characteristics, infinite second-level cache")
-		rows, err := prefetchsim.Table2(opt)
-		cli.ExitOn(err)
-		rendered = emit(rows)
-	case 3:
-		fmt.Printf("Table 3: application characteristics, finite %d-byte direct-mapped SLC\n",
-			prefetchsim.FiniteSLCBytes)
-		rows, err := prefetchsim.Table3(opt)
-		cli.ExitOn(err)
-		rendered = emit(rows)
-	case 4:
-		fmt.Println("Table 4: characteristics trend with larger data sets, infinite SLC")
-		rows, err := prefetchsim.Table4(opt)
-		cli.ExitOn(err)
-		rendered = emit(rows)
-	default:
+	titles := map[int]string{
+		2: "Table 2: application characteristics, infinite second-level cache",
+		3: fmt.Sprintf("Table 3: application characteristics, finite %d-byte direct-mapped SLC", prefetchsim.FiniteSLCBytes),
+		4: "Table 4: characteristics trend with larger data sets, infinite SLC",
+	}
+	title, ok := titles[*table]
+	if !ok {
 		fmt.Fprintln(os.Stderr, "tables: -table must be 2, 3 or 4")
 		os.Exit(2)
 	}
-
-	cli.Finish(os.Stdout, rendered)
-}
-
-// emit prints each row indented and returns the rendered lines for the
-// manifest's row digest.
-func emit[R fmt.Stringer](rows []R) []string {
-	out := make([]string, len(rows))
-	for i, r := range rows {
-		out[i] = r.String()
+	fmt.Println(title)
+	cli.ExitOn(cli.Execute(cli.Spec(fmt.Sprintf("table%d", *table)), func(r fmt.Stringer) {
 		fmt.Println(" ", r)
-	}
-	return out
+	}))
+	cli.Finish(os.Stdout)
 }

@@ -51,19 +51,15 @@ type ExpOptions struct {
 	// with the number done and the job total. Calls are serialized and
 	// done is strictly increasing.
 	Progress func(done, total int)
-	// OnRowIndexed, when non-nil, streams each finished row with its
-	// submission index (in completion order, serialized) as the sweep
-	// executes, before the full row slice is returned. Callers that
-	// must re-emit rows in deterministic submission order (the job
-	// server streams the contiguous completed prefix) need to know
-	// which row landed, not just how many. Rows of failed jobs are not
-	// streamed.
-	OnRowIndexed func(i, total int, row fmt.Stringer)
 	// Record, when non-nil, collects one provenance manifest — config,
 	// wall and virtual time, stats digest, metric totals — per
 	// simulation the sweep executes (including shared baselines, once
 	// each). See ManifestRecorder.
 	Record *ManifestRecorder
+
+	// emit, set by Spec.Execute, hears every finished job of the sweep
+	// with its submission index, in completion order (serialized).
+	emit func(i, total int, row fmt.Stringer, err error)
 }
 
 // ctx resolves the sweep's cancellation context (nil = never ends).
@@ -75,12 +71,8 @@ func (o ExpOptions) ctx() context.Context {
 }
 
 func (o ExpOptions) withDefaults() ExpOptions {
-	if o.Procs == 0 {
-		o.Procs = 16
-	}
-	if o.Scale == 0 {
-		o.Scale = 1
-	}
+	c := Config{Processors: o.Procs, Scale: o.Scale}.withDefaults()
+	o.Procs, o.Scale = c.Processors, c.Scale
 	if len(o.Apps) == 0 {
 		o.Apps = Apps()
 	}
@@ -104,25 +96,32 @@ func (o ExpOptions) run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// mapRows fans a sweep's jobs across the worker pool and streams every
-// finished row to OnRowIndexed (and the count to Progress) as it
+// mapRows fans a sweep's jobs across the worker pool and hands every
+// finished job to Spec.Execute's hook (and the count to Progress) as it
 // lands, then gathers the submission-ordered rows. A cancelled
 // ExpOptions.Ctx skips the jobs not yet started.
 func mapRows[J any, R fmt.Stringer](o ExpOptions, jobs []J, fn func(i int, j J) (R, error)) ([]R, error) {
-	var each func(done, total, i int, r R, err error)
-	if o.Progress != nil || o.OnRowIndexed != nil {
+	each := progressHook[R](o.Progress)
+	if o.emit != nil {
 		each = func(done, total, i int, r R, err error) {
-			if o.OnRowIndexed != nil && err == nil {
-				o.OnRowIndexed(i, total, r)
-			}
+			o.emit(i, total, r, err)
 			if o.Progress != nil {
 				o.Progress(done, total)
 			}
 		}
 	}
-	rows, errs := runner.MapEachCtx(o.ctx(), o.Workers, jobs,
+	rows, errs := runner.Map(o.ctx(), o.Workers, jobs,
 		func(_ context.Context, i int, j J) (R, error) { return fn(i, j) }, each)
 	return gather(rows, errs)
+}
+
+// progressHook adapts a progress callback to runner.Map's completion
+// hook (nil stays nil).
+func progressHook[R any](progress func(done, total int)) func(done, total, i int, r R, err error) {
+	if progress == nil {
+		return nil
+	}
+	return func(done, total, _ int, _ R, _ error) { progress(done, total) }
 }
 
 // CharRow is one application's column of Table 2 or Table 3.
@@ -300,30 +299,39 @@ func figure6(o ExpOptions, slcBytes int, schemes ...Scheme) ([]Fig6Row, error) {
 	if len(schemes) == 0 {
 		schemes = Schemes()
 	}
-	type job struct {
-		app    string
-		scheme Scheme
-	}
-	var jobs []job
+	var base baselineCache
+	return mapRows(o, o.appSchemeRuns(schemes, slcBytes), func(_ int, c Config) (Fig6Row, error) {
+		return o.vsBaseline(&base, c, c.Scheme)
+	})
+}
+
+// appSchemeRuns lists one degree-1 run per application × scheme, in
+// row order.
+func (o ExpOptions) appSchemeRuns(schemes []Scheme, slcBytes int) []Config {
+	var cfgs []Config
 	for _, app := range o.Apps {
 		for _, s := range schemes {
-			jobs = append(jobs, job{app, s})
+			cfgs = append(cfgs, Config{App: app, Scheme: s, Degree: 1,
+				Processors: o.Procs, Scale: o.Scale, Seed: o.Seed, SLCBytes: slcBytes})
 		}
 	}
-	var base baselineCache
-	return mapRows(o, jobs, func(_ int, j job) (Fig6Row, error) {
-		baseRes, err := base.get(o, Config{App: j.app, Scheme: Baseline,
-			Processors: o.Procs, Scale: o.Scale, Seed: o.Seed, SLCBytes: slcBytes})
-		if err != nil {
-			return Fig6Row{}, err
-		}
-		res, err := o.run(Config{App: j.app, Scheme: j.scheme, Degree: 1,
-			Processors: o.Procs, Scale: o.Scale, Seed: o.Seed, SLCBytes: slcBytes})
-		if err != nil {
-			return Fig6Row{}, err
-		}
-		return fig6Row(j.app, j.scheme, baseRes, res), nil
-	})
+	return cfgs
+}
+
+// vsBaseline runs cfg and relates it to its shared baseline, the same
+// machine without prefetching, as one Figure 6 bar named label.
+func (o ExpOptions) vsBaseline(base *baselineCache, cfg Config, label Scheme) (Fig6Row, error) {
+	b := cfg
+	b.Scheme, b.Degree = Baseline, 0
+	baseRes, err := base.get(o, b)
+	if err != nil {
+		return Fig6Row{}, err
+	}
+	res, err := o.run(cfg)
+	if err != nil {
+		return Fig6Row{}, err
+	}
+	return fig6Row(cfg.App, label, baseRes, res), nil
 }
 
 // StallRow is one app×scheme execution-time decomposition: the share
@@ -371,27 +379,20 @@ func StallSplit(app string, s Scheme, res *Result) StallRow {
 func StallBreakdown(o ExpOptions, schemes ...Scheme) ([]StallRow, error) {
 	o = o.withDefaults()
 	if len(schemes) == 0 {
-		schemes = append([]Scheme{Baseline}, Schemes()...)
+		schemes = stallSchemes()
 	}
-	type job struct {
-		app    string
-		scheme Scheme
-	}
-	var jobs []job
-	for _, app := range o.Apps {
-		for _, s := range schemes {
-			jobs = append(jobs, job{app, s})
-		}
-	}
-	return mapRows(o, jobs, func(_ int, j job) (StallRow, error) {
-		res, err := o.run(Config{App: j.app, Scheme: j.scheme, Degree: 1,
-			Processors: o.Procs, Scale: o.Scale, Seed: o.Seed})
+	return mapRows(o, o.appSchemeRuns(schemes, 0), func(_ int, c Config) (StallRow, error) {
+		res, err := o.run(c)
 		if err != nil {
 			return StallRow{}, err
 		}
-		return StallSplit(j.app, j.scheme, res), nil
+		return StallSplit(c.App, c.Scheme, res), nil
 	})
 }
+
+// stallSchemes is StallBreakdown's (and the sweep's) default scheme
+// list: the baseline next to the Figure 6 schemes.
+func stallSchemes() []Scheme { return append([]Scheme{Baseline}, Schemes()...) }
 
 func fig6Row(app string, s Scheme, base, res *Result) Fig6Row {
 	row := Fig6Row{App: app, Scheme: s, Efficiency: res.Stats.PrefetchEfficiency()}
@@ -414,17 +415,8 @@ func DegreeSweep(app string, scheme Scheme, degrees []int, o ExpOptions) ([]Fig6
 	o = o.withDefaults()
 	var base baselineCache
 	return mapRows(o, degrees, func(_ int, d int) (Fig6Row, error) {
-		baseRes, err := base.get(o, Config{App: app, Scheme: Baseline,
-			Processors: o.Procs, Scale: o.Scale, Seed: o.Seed})
-		if err != nil {
-			return Fig6Row{}, err
-		}
-		res, err := o.run(Config{App: app, Scheme: scheme, Degree: d,
-			Processors: o.Procs, Scale: o.Scale, Seed: o.Seed})
-		if err != nil {
-			return Fig6Row{}, err
-		}
-		return fig6Row(app, Scheme(fmt.Sprintf("%s-d%d", scheme, d)), baseRes, res), nil
+		c := Config{App: app, Scheme: scheme, Degree: d, Processors: o.Procs, Scale: o.Scale, Seed: o.Seed}
+		return o.vsBaseline(&base, c, Scheme(fmt.Sprintf("%s-d%d", scheme, d)))
 	})
 }
 
@@ -434,17 +426,8 @@ func SLCSweep(app string, scheme Scheme, sizes []int, o ExpOptions) ([]Fig6Row, 
 	o = o.withDefaults()
 	var base baselineCache
 	return mapRows(o, sizes, func(_ int, size int) (Fig6Row, error) {
-		baseRes, err := base.get(o, Config{App: app, Scheme: Baseline,
-			Processors: o.Procs, Scale: o.Scale, Seed: o.Seed, SLCBytes: size})
-		if err != nil {
-			return Fig6Row{}, err
-		}
-		res, err := o.run(Config{App: app, Scheme: scheme, Degree: 1,
-			Processors: o.Procs, Scale: o.Scale, Seed: o.Seed, SLCBytes: size})
-		if err != nil {
-			return Fig6Row{}, err
-		}
-		return fig6Row(app, Scheme(fmt.Sprintf("%s-slc%dK", scheme, size/1024)), baseRes, res), nil
+		c := Config{App: app, Scheme: scheme, Degree: 1, Processors: o.Procs, Scale: o.Scale, Seed: o.Seed, SLCBytes: size}
+		return o.vsBaseline(&base, c, Scheme(fmt.Sprintf("%s-slc%dK", scheme, size/1024)))
 	})
 }
 
@@ -581,10 +564,10 @@ func AssocSweep(app string, ways []int, o ExpOptions) ([]AssocRow, error) {
 	o = o.withDefaults()
 	// The runs are independent; only the relative-misses column depends
 	// on the first (direct-mapped) run, so normalize after the fan-out.
-	results, errs := runner.MapCtx(o.ctx(), o.Workers, ways, func(_ context.Context, _ int, w int) (*Result, error) {
+	results, errs := runner.Map(o.ctx(), o.Workers, ways, func(_ context.Context, _ int, w int) (*Result, error) {
 		return o.run(Config{App: app, Processors: o.Procs, Scale: o.Scale,
 			Seed: o.Seed, SLCBytes: FiniteSLCBytes, SLCWays: w})
-	}, o.Progress)
+	}, progressHook[*Result](o.Progress))
 	var dmMisses int64
 	var rows []AssocRow
 	for i, res := range results {

@@ -22,27 +22,44 @@ import (
 	"prefetchsim/internal/trace"
 )
 
-// Maker builds one application's program for the given parameters.
-type Maker func(workload.Params) *trace.Program
+// Maker builds one application's program for the given parameters, or
+// reports why it cannot.
+type Maker func(workload.Params) (*trace.Program, error)
 
-var registry = map[string]Maker{
-	"mp3d":     func(p workload.Params) *trace.Program { return mp3d.New(mp3d.DefaultConfig(p)) },
-	"cholesky": func(p workload.Params) *trace.Program { return cholesky.New(cholesky.DefaultConfig(p)) },
-	"water":    func(p workload.Params) *trace.Program { return water.New(water.DefaultConfig(p)) },
-	"lu":       func(p workload.Params) *trace.Program { return lu.New(lu.DefaultConfig(p)) },
-	"ocean":    func(p workload.Params) *trace.Program { return ocean.New(ocean.DefaultConfig(p)) },
-	"pthor":    func(p workload.Params) *trace.Program { return pthor.New(pthor.DefaultConfig(p)) },
+// app is one registered application: its parameter check, which costs
+// nothing to run, and its program builder.
+type app struct {
+	check func(workload.Params) error
+	make  Maker
+}
+
+// register binds an application package's DefaultConfig to its Check
+// and New.
+func register[C interface{ Check() error }](config func(workload.Params) C, build func(C) (*trace.Program, error)) app {
+	return app{
+		check: func(p workload.Params) error { return config(p).Check() },
+		make:  func(p workload.Params) (*trace.Program, error) { return build(config(p)) },
+	}
+}
+
+var registry = map[string]app{
+	"mp3d":     register(mp3d.DefaultConfig, mp3d.New),
+	"cholesky": register(cholesky.DefaultConfig, cholesky.New),
+	"water":    register(water.DefaultConfig, water.New),
+	"lu":       register(lu.DefaultConfig, lu.New),
+	"ocean":    register(ocean.DefaultConfig, ocean.New),
+	"pthor":    register(pthor.DefaultConfig, pthor.New),
 	// matmul is the paper's §3.1 illustrative example, registered as an
 	// extra workload; it is not part of the paper's six-application
 	// evaluation and therefore not in the default sweeps.
-	"matmul": func(p workload.Params) *trace.Program { return matmul.New(matmul.DefaultConfig(p)) },
+	"matmul": register(matmul.DefaultConfig, matmul.New),
 	// The pointer-heavy kernels below are likewise extras: irregular
 	// workloads the paper's §7 conclusions call out as beyond stride and
 	// sequential detection, used to evaluate the correlation-based zoo
 	// schemes.
-	"listchase": func(p workload.Params) *trace.Program { return listchase.New(listchase.DefaultConfig(p)) },
-	"hashjoin":  func(p workload.Params) *trace.Program { return hashjoin.New(hashjoin.DefaultConfig(p)) },
-	"bfs":       func(p workload.Params) *trace.Program { return bfs.New(bfs.DefaultConfig(p)) },
+	"listchase": register(listchase.DefaultConfig, listchase.New),
+	"hashjoin":  register(hashjoin.DefaultConfig, hashjoin.New),
+	"bfs":       register(bfs.DefaultConfig, bfs.New),
 }
 
 // paperOrder is the column order of the paper's tables.
@@ -62,13 +79,23 @@ func Extras() []string { return append([]string(nil), extraOrder...) }
 
 // Get returns the maker for name.
 func Get(name string) (Maker, error) {
-	mk, ok := registry[name]
+	a, ok := registry[name]
 	if !ok {
 		known := append(Names(), Extras()...)
 		sort.Strings(known)
 		return nil, fmt.Errorf("apps: unknown application %q (known: %v)", name, known)
 	}
-	return mk, nil
+	return a.make, nil
+}
+
+// Check reports why the application name cannot be built with p,
+// without building it. An unknown name passes: Get reports it when the
+// program is built, so it fails only the jobs that name it.
+func Check(name string, p workload.Params) error {
+	if a, ok := registry[name]; ok {
+		return a.check(p)
+	}
+	return nil
 }
 
 // hints mirrors the registry for the §6 hybrid (software-assisted)

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"prefetchsim/internal/apps/apptest"
 	"runtime"
 	"testing"
 
@@ -26,7 +27,7 @@ func tinyProgram(t *testing.T, name string) *trace.Program {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return mk(tiny())
+		return apptest.Must(mk(tiny()))
 	}
 }
 

@@ -101,3 +101,12 @@ func ZeroAllocRefill(t *testing.T, prog *trace.Program) {
 		}
 	}
 }
+
+// Must returns the program a constructor built and panics on its
+// error, for test inputs known to be valid.
+func Must(p *trace.Program, err error) *trace.Program {
+	if err != nil {
+		panic(err)
+	}
+	return p
+}

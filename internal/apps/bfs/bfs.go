@@ -44,15 +44,23 @@ func DefaultConfig(p workload.Params) Config {
 	return Config{Params: p, Vertices: 4096 * p.Scale, Degree: 4, Rounds: 2}
 }
 
+// Check reports why New cannot build c, or nil if it can.
+func (c Config) Check() error {
+	if c.Vertices < 2 || c.Degree < 1 || c.Rounds < 1 {
+		return fmt.Errorf("bfs: bad config %+v", c)
+	}
+	return nil
+}
+
 // New builds the BFS program: the graph, the BFS tree and the
 // per-level frontiers are all computed here, deterministically from the
 // seed, and each processor's stream walks its round-robin share of
 // every frontier with a barrier per level.
-func New(c Config) *trace.Program {
-	c.Params = c.Params.Norm()
-	if c.Vertices < 2 || c.Degree < 1 || c.Rounds < 1 {
-		panic(fmt.Sprintf("bfs: bad config %+v", c))
+func New(c Config) (*trace.Program, error) {
+	if err := c.Check(); err != nil {
+		return nil, err
 	}
+	c.Params = c.Params.Norm()
 	rng := sim.NewRand(c.Seed + 0xbf5)
 
 	// Random directed graph in CSR form. Out-degrees are 1..2*Degree-1
@@ -82,7 +90,7 @@ func New(c Config) *trace.Program {
 		func(p int) workload.Filler {
 			return &gen{c: c, offs: offs, edges: edges, levels: levels,
 				vrec: vrec, offA: offA, edgeA: edgeA, visit: visit, proc: p, pos: p}
-		})
+		}), nil
 }
 
 // bfsLevels computes the frontier of every BFS level from vertex 0.

@@ -50,20 +50,28 @@ func DefaultConfig(p workload.Params) Config {
 	return Config{Params: p, Supernodes: 110 * p.Scale, Width: 8, Reach: 14}
 }
 
+// Check reports why New cannot build c, or nil if it can.
+func (c Config) Check() error {
+	if p := c.Params.Norm(); c.Supernodes < p.Procs {
+		return fmt.Errorf("cholesky: %d supernodes too few for %d processors", c.Supernodes, p.Procs)
+	}
+	return nil
+}
+
 // New builds the Cholesky program. The generator is a resumable state
 // machine (workload.BuildFunc): each supernode s is a fixed phase
 // sequence — factor (owner only), barrier, updates, barrier — whose
 // suspension state is the phase tag plus the loop indices.
-func New(c Config) *trace.Program {
+func New(c Config) (*trace.Program, error) {
+	if err := c.Check(); err != nil {
+		return nil, err
+	}
 	c.Params = c.Params.Norm()
 	P, S := c.Procs, c.Supernodes
-	if S < P {
-		panic(fmt.Sprintf("cholesky: %d supernodes too few for %d processors", S, P))
-	}
 	l := newLayout(c)
 	return workload.BuildFunc(fmt.Sprintf("Cholesky-%ds", S), P, func(p int) workload.Filler {
 		return &gen{l: l, procs: P, p: p}
-	})
+	}), nil
 }
 
 // layout is the factor's panel placement and update structure, shared

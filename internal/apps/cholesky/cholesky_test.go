@@ -21,16 +21,13 @@ func TestDefaultConfigScales(t *testing.T) {
 }
 
 func TestNewPanicsOnTooFewSupernodes(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("did not panic")
-		}
-	}()
-	New(Config{Params: workload.Params{Procs: 16}, Supernodes: 4, Width: 4, Reach: 2})
+	if _, err := New(Config{Params: workload.Params{Procs: 16}, Supernodes: 4, Width: 4, Reach: 2}); err == nil {
+		t.Error("New returned no error")
+	}
 }
 
 func TestPanelHeightsShrink(t *testing.T) {
-	p := New(Config{Params: workload.Params{Procs: 2}, Supernodes: 10, Width: 4, Reach: 3})
+	p := apptest.Must(New(Config{Params: workload.Params{Procs: 2}, Supernodes: 10, Width: 4, Reach: 3}))
 	defer p.Stop()
 	// Factor-phase writes for supernode 0 (owner: proc 0) must cover a
 	// larger panel than later supernodes'. Count pcFacW writes per
@@ -65,7 +62,7 @@ func TestPanelHeightsShrink(t *testing.T) {
 
 func TestUpdatesAreDeterministicPerPair(t *testing.T) {
 	mk := func() []trace.Op {
-		p := New(Config{Params: workload.Params{Procs: 2}, Supernodes: 8, Width: 4, Reach: 3})
+		p := apptest.Must(New(Config{Params: workload.Params{Procs: 2}, Supernodes: 8, Width: 4, Reach: 3}))
 		defer p.Stop()
 		var ops []trace.Op
 		for {
@@ -136,15 +133,15 @@ func TestMatchesGoroutineOracle(t *testing.T) {
 		{Procs: 3, Scale: 1},
 	} {
 		c := DefaultConfig(p)
-		apptest.SameOps(t, New(c), oracle(c))
+		apptest.SameOps(t, apptest.Must(New(c)), oracle(c))
 	}
 }
 
 func TestResumptionIsSeamless(t *testing.T) {
 	c := DefaultConfig(workload.Params{Procs: 4})
-	apptest.SeamlessResumption(t, func() *trace.Program { return New(c) })
+	apptest.SeamlessResumption(t, func() *trace.Program { return apptest.Must(New(c)) })
 }
 
 func TestRefillAllocatesNothing(t *testing.T) {
-	apptest.ZeroAllocRefill(t, New(DefaultConfig(workload.Params{Procs: 16})))
+	apptest.ZeroAllocRefill(t, apptest.Must(New(DefaultConfig(workload.Params{Procs: 16}))))
 }

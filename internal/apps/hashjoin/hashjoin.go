@@ -49,14 +49,22 @@ func DefaultConfig(p workload.Params) Config {
 	}
 }
 
+// Check reports why New cannot build c, or nil if it can.
+func (c Config) Check() error {
+	if c.Buckets < 1 || c.Probes < 1 || c.MaxChain < 1 || c.Rounds < 1 {
+		return fmt.Errorf("hashjoin: bad config %+v", c)
+	}
+	return nil
+}
+
 // New builds the hash-join probe program. The table layout (chain
 // lengths, node placement) and each processor's probe sequence are
 // derived deterministically from the seed.
-func New(c Config) *trace.Program {
-	c.Params = c.Params.Norm()
-	if c.Buckets < 1 || c.Probes < 1 || c.MaxChain < 1 || c.Rounds < 1 {
-		panic(fmt.Sprintf("hashjoin: bad config %+v", c))
+func New(c Config) (*trace.Program, error) {
+	if err := c.Check(); err != nil {
+		return nil, err
 	}
+	c.Params = c.Params.Norm()
 	rng := sim.NewRand(c.Seed + 0x4a5b)
 	space := mem.NewSpace()
 	heads := mem.NewArray(space, c.Buckets, workload.WordBytes, workload.WordBytes)
@@ -97,7 +105,7 @@ func New(c Config) *trace.Program {
 		procs[p] = gen{c: c, heads: heads, pool: pool, chains: chains, probes: probes, out: out}
 	}
 	return workload.BuildFunc(fmt.Sprintf("HashJoin-%dx%dx%d", c.Buckets, c.Probes, c.Rounds),
-		c.Procs, func(p int) workload.Filler { g := procs[p]; return &g })
+		c.Procs, func(p int) workload.Filler { g := procs[p]; return &g }), nil
 }
 
 // gen is one processor's resumable generator; (round, probe index) is

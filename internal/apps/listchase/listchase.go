@@ -42,16 +42,24 @@ func DefaultConfig(p workload.Params) Config {
 	return Config{Params: p, Nodes: 2048 * p.Scale, Rounds: 4}
 }
 
+// Check reports why New cannot build c, or nil if it can.
+func (c Config) Check() error {
+	if c.Nodes < 2 || c.Rounds < 1 {
+		return fmt.Errorf("listchase: need >= 2 nodes and >= 1 round, got %d/%d",
+			c.Nodes, c.Rounds)
+	}
+	return nil
+}
+
 // New builds the list-chase program. Each processor's traversal order
 // is a random cyclic permutation of its node pool (one cycle, so every
 // node is visited exactly once per round), derived deterministically
 // from the seed.
-func New(c Config) *trace.Program {
-	c.Params = c.Params.Norm()
-	if c.Nodes < 2 || c.Rounds < 1 {
-		panic(fmt.Sprintf("listchase: need >= 2 nodes and >= 1 round, got %d/%d",
-			c.Nodes, c.Rounds))
+func New(c Config) (*trace.Program, error) {
+	if err := c.Check(); err != nil {
+		return nil, err
 	}
+	c.Params = c.Params.Norm()
 	space := mem.NewSpace()
 	procs := make([]gen, c.Procs)
 	for p := range procs {
@@ -60,7 +68,7 @@ func New(c Config) *trace.Program {
 		procs[p] = gen{c: c, pool: pool, acc: acc, order: chaseOrder(c, p)}
 	}
 	return workload.BuildFunc(fmt.Sprintf("ListChase-%dx%d", c.Nodes, c.Rounds), c.Procs,
-		func(p int) workload.Filler { g := procs[p]; return &g })
+		func(p int) workload.Filler { g := procs[p]; return &g }), nil
 }
 
 // chaseOrder returns processor p's traversal order: a Sattolo cyclic

@@ -46,14 +46,22 @@ func DefaultConfig(p workload.Params) Config {
 	return Config{Params: p, N: 200 + 80*(p.Scale-1)}
 }
 
+// Check reports why New cannot build c, or nil if it can.
+func (c Config) Check() error {
+	if c.N < 4 {
+		return fmt.Errorf("lu: dimension %d too small", c.N)
+	}
+	return nil
+}
+
 // New builds the LU program. The generator is a resumable state machine
 // (workload.BuildFunc): each outer iteration k is a fixed phase sequence
 // — barrier, pivot divide (owner only), barrier, elimination — whose
 // suspension state is the phase tag plus the loop indices, so no
 // producer goroutine or channel transfer is involved.
-func New(c Config) *trace.Program {
-	if c.N < 4 {
-		panic(fmt.Sprintf("lu: dimension %d too small", c.N))
+func New(c Config) (*trace.Program, error) {
+	if err := c.Check(); err != nil {
+		return nil, err
 	}
 	c.Params = c.Params.Norm()
 	P, N := c.Procs, c.N
@@ -65,7 +73,7 @@ func New(c Config) *trace.Program {
 	return workload.BuildFunc(fmt.Sprintf("LU-%dx%d", N, N), P,
 		func(p int) workload.Filler {
 			return &gen{c: c, a: a, p: p}
-		})
+		}), nil
 }
 
 // Phases of one outer iteration k.

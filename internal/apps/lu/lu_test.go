@@ -28,16 +28,13 @@ func TestDefaultConfigScales(t *testing.T) {
 }
 
 func TestNewPanicsOnTinyMatrix(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("N=2 did not panic")
-		}
-	}()
-	New(Config{Params: workload.Params{Procs: 2}, N: 2})
+	if _, err := New(Config{Params: workload.Params{Procs: 2}, N: 2}); err == nil {
+		t.Error("N=2 New returned no error")
+	}
 }
 
 func TestStreamsBeginWithBarrier(t *testing.T) {
-	p := New(Config{Params: workload.Params{Procs: 2}, N: 8})
+	p := apptest.Must(New(Config{Params: workload.Params{Procs: 2}, N: 8}))
 	defer p.Stop()
 	for i, s := range p.Streams {
 		if op := s.Next(); op.Kind != trace.Barrier {
@@ -54,7 +51,7 @@ func TestMatchesGoroutineOracle(t *testing.T) {
 	c.Params = c.Params.Norm()
 	P, N := c.Procs, c.N
 
-	got := New(c)
+	got := apptest.Must(New(c))
 
 	space := mem.NewSpace()
 	rowBytes := N * workload.WordBytes
@@ -90,7 +87,7 @@ func TestMatchesGoroutineOracle(t *testing.T) {
 }
 
 func TestOnlyPivotOwnerDividesRow(t *testing.T) {
-	p := New(Config{Params: workload.Params{Procs: 2}, N: 8})
+	p := apptest.Must(New(Config{Params: workload.Params{Procs: 2}, N: 8}))
 	defer p.Stop()
 	// After the first barrier, only processor 0 (owner of row 0) should
 	// issue non-barrier work before the second barrier.

@@ -37,16 +37,24 @@ func DefaultConfig(p workload.Params) Config {
 	return Config{Params: p, L: n, M: n, N: n}
 }
 
+// Check reports why New cannot build c, or nil if it can.
+func (c Config) Check() error {
+	if p := c.Params.Norm(); c.L < p.Procs || c.M < 4 || c.N < 4 {
+		return fmt.Errorf("matmul: dimensions %dx%dx%d too small for %d processors",
+			c.L, c.M, c.N, p.Procs)
+	}
+	return nil
+}
+
 // New builds the matmul program. Rows of C are distributed round-robin.
 // The generator is a resumable state machine (workload.BuildFunc): the
 // triple loop nest suspends and resumes on its three indices, so no
 // producer goroutine or channel transfer is involved.
-func New(c Config) *trace.Program {
-	c.Params = c.Params.Norm()
-	if c.L < c.Procs || c.M < 4 || c.N < 4 {
-		panic(fmt.Sprintf("matmul: dimensions %dx%dx%d too small for %d processors",
-			c.L, c.M, c.N, c.Procs))
+func New(c Config) (*trace.Program, error) {
+	if err := c.Check(); err != nil {
+		return nil, err
 	}
+	c.Params = c.Params.Norm()
 	w := workload.WordBytes
 	space := mem.NewSpace()
 	a := mem.NewArray(space, c.L, c.N*w, c.N*w)
@@ -56,7 +64,7 @@ func New(c Config) *trace.Program {
 	return workload.BuildFunc(fmt.Sprintf("Matmul-%dx%dx%d", c.L, c.M, c.N), c.Procs,
 		func(p int) workload.Filler {
 			return &gen{c: c, a: a, b: b, cm: cm, i: p}
-		})
+		}), nil
 }
 
 // gen is one processor's generator; the loop indices of the triple nest

@@ -11,7 +11,7 @@ import (
 
 func TestValidateAndCounts(t *testing.T) {
 	c := Config{Params: workload.Params{Procs: 4}, L: 8, M: 8, N: 8}
-	counts, err := workload.Validate(New(c), 4)
+	counts, err := workload.Validate(apptest.Must(New(c)), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestMatchesGoroutineOracle(t *testing.T) {
 	c.Params = c.Params.Norm()
 	w := workload.WordBytes
 
-	got := New(c)
+	got := apptest.Must(New(c))
 
 	space := mem.NewSpace()
 	a := mem.NewArray(space, c.L, c.N*w, c.N*w)
@@ -59,5 +59,5 @@ func TestMatchesGoroutineOracle(t *testing.T) {
 // at arbitrary buffer boundaries without perturbing the sequence.
 func TestResumptionIsSeamless(t *testing.T) {
 	c := Config{Params: workload.Params{Procs: 2}, L: 4, M: 5, N: 6}
-	apptest.SeamlessResumption(t, func() *trace.Program { return New(c) })
+	apptest.SeamlessResumption(t, func() *trace.Program { return apptest.Must(New(c)) })
 }

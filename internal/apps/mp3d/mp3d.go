@@ -76,16 +76,24 @@ func DefaultConfig(p workload.Params) Config {
 	return Config{Params: p, Particles: 10000 * p.Scale, Steps: 10}
 }
 
+// Check reports why New cannot build c, or nil if it can.
+func (c Config) Check() error {
+	if p := c.Params.Norm(); c.Particles < p.Procs {
+		return fmt.Errorf("mp3d: %d particles too few for %d processors", c.Particles, p.Procs)
+	}
+	return nil
+}
+
 // New builds the MP3D program. The generator is a resumable state
 // machine (workload.BuildFunc): its suspension state is the step and
 // particle indices plus the particle slice and RNG, which are created
 // on the first Fill so building the program stays cheap.
-func New(c Config) *trace.Program {
+func New(c Config) (*trace.Program, error) {
+	if err := c.Check(); err != nil {
+		return nil, err
+	}
 	c.Params = c.Params.Norm()
 	P, N := c.Procs, c.Particles
-	if N < P {
-		panic(fmt.Sprintf("mp3d: %d particles too few for %d processors", N, P))
-	}
 
 	space := mem.NewSpace()
 	particles := mem.NewArray(space, N, particleBytes, particleBytes)
@@ -106,7 +114,7 @@ func New(c Config) *trace.Program {
 		}
 		return &gen{c: c, particles: particles, cells: cells, p: p,
 			lo: lo, hi: hi, cIdx: cLo, cHi: cHi}
-	})
+	}), nil
 }
 
 // particle is one particle's simulated state, in fixed point.

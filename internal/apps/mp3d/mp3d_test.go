@@ -26,18 +26,15 @@ func TestDefaultConfigPaperInput(t *testing.T) {
 }
 
 func TestNewPanicsOnTooFewParticles(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("did not panic")
-		}
-	}()
-	New(Config{Params: workload.Params{Procs: 16}, Particles: 3, Steps: 1})
+	if _, err := New(Config{Params: workload.Params{Procs: 16}, Particles: 3, Steps: 1}); err == nil {
+		t.Error("New returned no error")
+	}
 }
 
 func TestParticlesStayInTunnel(t *testing.T) {
 	// Drain one processor's stream: every cell access must land inside
 	// the allocated cell lattice (reflection at the walls works).
-	p := New(Config{Params: workload.Params{Procs: 2, Seed: 9}, Particles: 400, Steps: 5})
+	p := apptest.Must(New(Config{Params: workload.Params{Procs: 2, Seed: 9}, Particles: 400, Steps: 5}))
 	defer p.Stop()
 	var cellLo, cellHi uint64
 	first := true
@@ -69,7 +66,7 @@ func TestParticlesStayInTunnel(t *testing.T) {
 
 func TestSeedChangesTrajectories(t *testing.T) {
 	mk := func(seed uint64) []trace.Op {
-		p := New(Config{Params: workload.Params{Procs: 1, Seed: seed}, Particles: 50, Steps: 1})
+		p := apptest.Must(New(Config{Params: workload.Params{Procs: 1, Seed: seed}, Particles: 50, Steps: 1}))
 		defer p.Stop()
 		var ops []trace.Op
 		for {
@@ -178,16 +175,16 @@ func TestMatchesGoroutineOracle(t *testing.T) {
 		{Procs: 3, Scale: 1, Seed: 7},
 	} {
 		c := DefaultConfig(p)
-		apptest.SameOps(t, New(c), oracle(c))
+		apptest.SameOps(t, apptest.Must(New(c)), oracle(c))
 	}
 }
 
 func TestResumptionIsSeamless(t *testing.T) {
 	c := DefaultConfig(workload.Params{Procs: 4, Seed: 3})
 	c.Steps = 3
-	apptest.SeamlessResumption(t, func() *trace.Program { return New(c) })
+	apptest.SeamlessResumption(t, func() *trace.Program { return apptest.Must(New(c)) })
 }
 
 func TestRefillAllocatesNothing(t *testing.T) {
-	apptest.ZeroAllocRefill(t, New(DefaultConfig(workload.Params{Procs: 16, Seed: 1})))
+	apptest.ZeroAllocRefill(t, apptest.Must(New(DefaultConfig(workload.Params{Procs: 16, Seed: 1}))))
 }

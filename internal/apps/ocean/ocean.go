@@ -64,23 +64,36 @@ func DefaultConfig(p workload.Params) Config {
 	return Config{Params: p, N: n, Iters: 18}
 }
 
+// Check reports why New cannot build c, or nil if it can.
+func (c Config) Check() error {
+	P, N, side := c.Params.Norm().Procs, c.N, c.side()
+	switch {
+	case (N+2)*workload.WordBytes > rowBytes:
+		return fmt.Errorf("ocean: interior %d exceeds the 260-double padded row", N)
+	case side*side != P:
+		return fmt.Errorf("ocean: processor count %d is not a perfect square", P)
+	case N%side != 0:
+		return fmt.Errorf("ocean: grid %d not divisible into %dx%d subgrids", N, side, side)
+	}
+	return nil
+}
+
+// side is the processor grid's edge: the square root of the processor
+// count, rounded down.
+func (c Config) side() int {
+	return int(math.Sqrt(float64(c.Params.Norm().Procs)))
+}
+
 // New builds the Ocean program. The generator is a resumable state
 // machine (workload.BuildFunc): a first-touch phase, then per iteration
 // a ghost-zone refresh, the interior sweep and a barrier, suspended on
 // the phase tag plus the loop indices.
-func New(c Config) *trace.Program {
+func New(c Config) (*trace.Program, error) {
+	if err := c.Check(); err != nil {
+		return nil, err
+	}
 	c.Params = c.Params.Norm()
-	P, N := c.Procs, c.N
-	if (N+2)*workload.WordBytes > rowBytes {
-		panic(fmt.Sprintf("ocean: interior %d exceeds the 260-double padded row", N))
-	}
-	side := int(math.Sqrt(float64(P)))
-	if side*side != P {
-		panic(fmt.Sprintf("ocean: processor count %d is not a perfect square", P))
-	}
-	if N%side != 0 {
-		panic(fmt.Sprintf("ocean: grid %d not divisible into %dx%d subgrids", N, side, side))
-	}
+	P, N, side := c.Procs, c.N, c.side()
 	sub := N / side
 
 	space := mem.NewSpace()
@@ -93,7 +106,7 @@ func New(c Config) *trace.Program {
 		i0, j0 := 1+pr*sub, 1+pc*sub // interior coordinates are 1-based
 		return &gen{grids: grids, iters: c.Iters, i0: i0, j0: j0,
 			i1: i0 + sub - 1, j1: j0 + sub - 1, i: i0, j: j0}
-	})
+	}), nil
 }
 
 // Phases of the program.

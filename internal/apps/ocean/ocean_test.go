@@ -36,21 +36,16 @@ func TestNewValidatesGeometry(t *testing.T) {
 		"grid too wide":    {Params: workload.Params{Procs: 4}, N: 400, Iters: 1},
 	}
 	for name, cfg := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: did not panic", name)
-				}
-			}()
-			New(cfg)
-		}()
+		if _, err := New(cfg); err == nil {
+			t.Errorf("%s: New returned no error", name)
+		}
 	}
 }
 
 func TestGhostColumnReadsStrideOneRow(t *testing.T) {
 	// Drain processor 1's stream (subgrid column 1 of a 2x2 split) and
 	// check its west-ghost reads stride by exactly one padded row.
-	p := New(Config{Params: workload.Params{Procs: 4}, N: 16, Iters: 1})
+	p := apptest.Must(New(Config{Params: workload.Params{Procs: 4}, N: 16, Iters: 1}))
 	defer p.Stop()
 	s := p.Streams[1]
 	var west []uint64
@@ -75,7 +70,7 @@ func TestGhostColumnReadsStrideOneRow(t *testing.T) {
 
 func TestBarrierCountMatchesIterations(t *testing.T) {
 	const iters = 3
-	p := New(Config{Params: workload.Params{Procs: 4}, N: 16, Iters: iters})
+	p := apptest.Must(New(Config{Params: workload.Params{Procs: 4}, N: 16, Iters: iters}))
 	defer p.Stop()
 	barriers := 0
 	for {
@@ -166,16 +161,16 @@ func TestMatchesGoroutineOracle(t *testing.T) {
 		{Procs: 4, Scale: 1},
 	} {
 		c := DefaultConfig(p)
-		apptest.SameOps(t, New(c), oracle(c))
+		apptest.SameOps(t, apptest.Must(New(c)), oracle(c))
 	}
 }
 
 func TestResumptionIsSeamless(t *testing.T) {
 	c := DefaultConfig(workload.Params{Procs: 4})
 	c.Iters = 3
-	apptest.SeamlessResumption(t, func() *trace.Program { return New(c) })
+	apptest.SeamlessResumption(t, func() *trace.Program { return apptest.Must(New(c)) })
 }
 
 func TestRefillAllocatesNothing(t *testing.T) {
-	apptest.ZeroAllocRefill(t, New(DefaultConfig(workload.Params{Procs: 16})))
+	apptest.ZeroAllocRefill(t, apptest.Must(New(DefaultConfig(workload.Params{Procs: 16}))))
 }

@@ -66,17 +66,25 @@ func DefaultConfig(p workload.Params) Config {
 	return Config{Params: p, Gates: 3000 * p.Scale, Steps: 220}
 }
 
+// Check reports why New cannot build c, or nil if it can.
+func (c Config) Check() error {
+	if p := c.Params.Norm(); c.Gates < 4*p.Procs {
+		return fmt.Errorf("pthor: %d gates too few for %d processors", c.Gates, p.Procs)
+	}
+	return nil
+}
+
 // New builds the PTHOR program. The generator is a resumable state
 // machine (workload.BuildFunc): per step it collects and shuffles its
 // active gates, replays them, and closes with a barrier, suspended on
 // the step and task indices. The task list and the shuffle RNG are
 // created on the first Fill so building the program stays cheap.
-func New(c Config) *trace.Program {
+func New(c Config) (*trace.Program, error) {
+	if err := c.Check(); err != nil {
+		return nil, err
+	}
 	c.Params = c.Params.Norm()
 	P, G := c.Procs, c.Gates
-	if G < 4*P {
-		panic(fmt.Sprintf("pthor: %d gates too few for %d processors", G, P))
-	}
 	ck := newCircuit(c)
 	space := mem.NewSpace()
 	gates := mem.NewArray(space, G, gateBytes, gateBytes)
@@ -88,7 +96,7 @@ func New(c Config) *trace.Program {
 			hi = int32(G)
 		}
 		return &gen{ck: ck, gates: gates, seed: c.Seed, p: p, lo: lo, hi: hi}
-	})
+	}), nil
 }
 
 // circuit is the synthetic netlist and its precomputed activity,

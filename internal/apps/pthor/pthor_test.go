@@ -23,19 +23,16 @@ func TestDefaultConfigScales(t *testing.T) {
 }
 
 func TestNewPanicsOnTinyCircuit(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("did not panic")
-		}
-	}()
-	New(Config{Params: workload.Params{Procs: 16}, Gates: 10, Steps: 1})
+	if _, err := New(Config{Params: workload.Params{Procs: 16}, Gates: 10, Steps: 1}); err == nil {
+		t.Error("New returned no error")
+	}
 }
 
 func TestActivityPersists(t *testing.T) {
 	// The XOR/NAND mix must keep the circuit alive: the last step still
 	// processes gates (otherwise the workload degenerates to barriers).
 	cfg := Config{Params: workload.Params{Procs: 2, Seed: 3}, Gates: 500, Steps: 40}
-	p := New(cfg)
+	p := apptest.Must(New(cfg))
 	defer p.Stop()
 	reads := 0
 	barriers := 0
@@ -67,7 +64,7 @@ func TestActivityPersists(t *testing.T) {
 func TestInputPointerChasingIsScattered(t *testing.T) {
 	// The two input reads of consecutive evaluations must not form long
 	// equidistant runs (PTHOR is the paper's stride-free control).
-	p := New(Config{Params: workload.Params{Procs: 1, Seed: 5}, Gates: 400, Steps: 5})
+	p := apptest.Must(New(Config{Params: workload.Params{Procs: 1, Seed: 5}, Gates: 400, Steps: 5}))
 	defer p.Stop()
 	var addrs []uint64
 	for {
@@ -157,16 +154,16 @@ func TestMatchesGoroutineOracle(t *testing.T) {
 		{Procs: 3, Scale: 1, Seed: 5},
 	} {
 		c := DefaultConfig(p)
-		apptest.SameOps(t, New(c), oracle(c))
+		apptest.SameOps(t, apptest.Must(New(c)), oracle(c))
 	}
 }
 
 func TestResumptionIsSeamless(t *testing.T) {
 	c := DefaultConfig(workload.Params{Procs: 4, Seed: 3})
 	c.Steps = 40
-	apptest.SeamlessResumption(t, func() *trace.Program { return New(c) })
+	apptest.SeamlessResumption(t, func() *trace.Program { return apptest.Must(New(c)) })
 }
 
 func TestRefillAllocatesNothing(t *testing.T) {
-	apptest.ZeroAllocRefill(t, New(DefaultConfig(workload.Params{Procs: 16, Seed: 1})))
+	apptest.ZeroAllocRefill(t, apptest.Must(New(DefaultConfig(workload.Params{Procs: 16, Seed: 1}))))
 }

@@ -78,16 +78,24 @@ func DefaultConfig(p workload.Params) Config {
 	return Config{Params: p, Molecules: 288 * p.Scale, Steps: 4}
 }
 
+// Check reports why New cannot build c, or nil if it can.
+func (c Config) Check() error {
+	if p := c.Params.Norm(); c.Molecules < 2*p.Procs {
+		return fmt.Errorf("water: %d molecules too few for %d processors", c.Molecules, p.Procs)
+	}
+	return nil
+}
+
 // New builds the Water program. The generator is a resumable state
 // machine (workload.BuildFunc): each time step is a fixed phase
 // sequence — predict, barrier, forces, merge tail, barrier, correct,
 // barrier — suspended on the phase tag plus the loop indices.
-func New(c Config) *trace.Program {
+func New(c Config) (*trace.Program, error) {
+	if err := c.Check(); err != nil {
+		return nil, err
+	}
 	c.Params = c.Params.Norm()
 	P, N := c.Procs, c.Molecules
-	if N < 2*P {
-		panic(fmt.Sprintf("water: %d molecules too few for %d processors", N, P))
-	}
 
 	space := mem.NewSpace()
 	mol := mem.NewArray(space, N, molBytes, molBytes)
@@ -102,7 +110,7 @@ func New(c Config) *trace.Program {
 		}
 		return &gen{mol: mol, lockVars: lockVars, n: N, steps: c.Steps,
 			lo: lo, hi: hi, i: lo}
-	})
+	}), nil
 }
 
 // Phases of one time step.

@@ -50,12 +50,9 @@ func TestDefaultConfigPaperInput(t *testing.T) {
 }
 
 func TestNewPanicsOnTooFewMolecules(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("did not panic")
-		}
-	}()
-	New(Config{Params: workload.Params{Procs: 16}, Molecules: 8, Steps: 1})
+	if _, err := New(Config{Params: workload.Params{Procs: 16}, Molecules: 8, Steps: 1}); err == nil {
+		t.Error("New returned no error")
+	}
 }
 
 func TestPairPCsAreDistinctPerWord(t *testing.T) {
@@ -156,16 +153,16 @@ func TestMatchesGoroutineOracle(t *testing.T) {
 		{Procs: 5, Scale: 1},
 	} {
 		c := DefaultConfig(p)
-		apptest.SameOps(t, New(c), oracle(c))
+		apptest.SameOps(t, apptest.Must(New(c)), oracle(c))
 	}
 }
 
 func TestResumptionIsSeamless(t *testing.T) {
 	c := DefaultConfig(workload.Params{Procs: 4})
 	c.Steps = 2
-	apptest.SeamlessResumption(t, func() *trace.Program { return New(c) })
+	apptest.SeamlessResumption(t, func() *trace.Program { return apptest.Must(New(c)) })
 }
 
 func TestRefillAllocatesNothing(t *testing.T) {
-	apptest.ZeroAllocRefill(t, New(DefaultConfig(workload.Params{Procs: 16})))
+	apptest.ZeroAllocRefill(t, apptest.Must(New(DefaultConfig(workload.Params{Procs: 16}))))
 }

@@ -24,6 +24,10 @@ import (
 // and stores, like the double-precision codes the paper studies.
 const WordBytes = 8
 
+// DefaultProcs and DefaultScale are the paper's machine size and data
+// sets: the defaults of every front end.
+const DefaultProcs, DefaultScale = 16, 1
+
 // Params are the knobs every application shares.
 type Params struct {
 	Procs int
@@ -36,10 +40,10 @@ type Params struct {
 // Norm clamps Params into a usable range.
 func (p Params) Norm() Params {
 	if p.Procs <= 0 {
-		p.Procs = 16
+		p.Procs = DefaultProcs
 	}
 	if p.Scale <= 0 {
-		p.Scale = 1
+		p.Scale = DefaultScale
 	}
 	return p
 }

@@ -1,5 +1,7 @@
 // Package batchcli declares the flags the batch commands (figure6,
-// tables and sweep) share, and runs the plumbing behind them:
+// tables and sweep) share, seeds the prefetchsim.Spec each command
+// parses its flags into, and runs that spec with the plumbing behind
+// the shared flags:
 //
 //	-procs N      processor count (default 16, the paper's)
 //	-scale N      data-set scale (default 1, the paper's inputs)
@@ -23,78 +25,91 @@ import (
 	"time"
 
 	"prefetchsim"
+	"prefetchsim/internal/apps/workload"
 	"prefetchsim/internal/webstatus"
 )
 
-// Flags holds one command's shared flag values and, once Start has run,
-// the manifest recorder and status endpoint they asked for.
+// Flags holds one command's shared flag values and, once Execute has
+// run, the manifest recorder and status endpoint they asked for.
 type Flags struct {
-	tool string
-	// opt carries -procs, -scale, -seed and -j, plus the recorder and
-	// progress callback Start attaches.
-	opt      prefetchsim.ExpOptions
+	tool     string
+	procs    int
+	scale    int
+	seed     uint64
+	workers  int
 	manifest string
 	metrics  bool
 	httpAddr string
 
-	srv   *webstatus.Server
-	start time.Time
+	rec      *prefetchsim.ManifestRecorder
+	srv      *webstatus.Server
+	start    time.Time
+	rendered []string // the rows' text, for the manifest's digest
 }
 
 // Register declares the shared flags on the default flag set for the
 // named command. Call before flag.Parse.
 func Register(tool string) *Flags {
 	f := &Flags{tool: tool}
-	flag.IntVar(&f.opt.Procs, "procs", 16, "processor count")
-	flag.IntVar(&f.opt.Scale, "scale", 1, "data-set scale")
-	flag.Uint64Var(&f.opt.Seed, "seed", 0, "workload seed")
-	flag.IntVar(&f.opt.Workers, "j", 0, "simulations to run concurrently (0 = all cores, 1 = serial)")
+	flag.IntVar(&f.procs, "procs", workload.DefaultProcs, "processor count")
+	flag.IntVar(&f.scale, "scale", workload.DefaultScale, "data-set scale")
+	flag.Uint64Var(&f.seed, "seed", 0, "workload seed")
+	flag.IntVar(&f.workers, "j", 0, "simulations to run concurrently (0 = all cores, 1 = serial)")
 	flag.StringVar(&f.manifest, "manifest", "", "write the sweep's provenance manifest (JSON) to this file")
 	flag.BoolVar(&f.metrics, "metrics", false, "print sweep-wide metric totals")
 	flag.StringVar(&f.httpAddr, "http", "", "serve a live JSON status endpoint on this address while the simulations run")
 	return f
 }
 
-// Start runs after flag.Parse. It attaches a manifest recorder when
-// -manifest, -metrics or -http needs one, starts the -http status
-// endpoint, and returns the experiment options the flags select, with
-// the positional arguments as the applications.
-func (f *Flags) Start() prefetchsim.ExpOptions {
+// Spec returns a spec of the given kind carrying -procs, -scale, -seed
+// and, as its applications, the positional arguments. Call after
+// flag.Parse.
+func (f *Flags) Spec(kind string) prefetchsim.Spec {
+	return prefetchsim.Spec{Kind: kind, Apps: flag.Args(), Procs: f.procs, Scale: f.scale, Seed: f.seed}
+}
+
+// Execute runs spec on -j workers and hands each row to sink in order.
+// It attaches a manifest recorder when -manifest, -metrics or -http
+// needs one and serves the -http status endpoint while the spec runs.
+func (f *Flags) Execute(spec prefetchsim.Spec, sink func(row fmt.Stringer)) error {
+	opt := prefetchsim.ExpOptions{Workers: f.workers}
 	if f.manifest != "" || f.metrics || f.httpAddr != "" {
-		f.opt.Record = &prefetchsim.ManifestRecorder{}
+		f.rec = &prefetchsim.ManifestRecorder{}
+		opt.Record = f.rec
 	}
 	if f.httpAddr != "" {
 		var prog webstatus.Progress
-		f.opt.Progress = prog.Set
-		rec := f.opt.Record
+		opt.Progress = prog.Set
 		srv, err := webstatus.Serve(f.httpAddr, func() webstatus.Status {
 			done, total := prog.Snapshot()
-			runs, totals := rec.Status()
+			runs, totals := f.rec.Status()
 			return webstatus.Status{
 				Tool: f.tool, Done: done, Total: total,
 				Rows: done, Runs: runs, Metrics: totals,
 			}
 		})
-		f.ExitOn(err)
+		if err != nil {
+			return err
+		}
 		f.srv = srv
 		fmt.Fprintf(os.Stderr, "%s: status endpoint on http://%s/status\n", f.tool, srv.Addr())
 	}
 	f.start = time.Now()
-	opt := f.opt
-	opt.Apps = flag.Args()
-	return opt
+	return spec.Execute(opt, func(_, _ int, row fmt.Stringer) {
+		f.rendered = append(f.rendered, row.String())
+		sink(row)
+	})
 }
 
 // Finish prints the metric totals to totals when -metrics is set,
-// writes the sweep manifest of the rendered rows when -manifest is
-// set, and stops the status endpoint.
-func (f *Flags) Finish(totals io.Writer, rendered []string) {
-	rec := f.opt.Record
+// writes the sweep manifest of the rows Execute handed over when
+// -manifest is set, and stops the status endpoint.
+func (f *Flags) Finish(totals io.Writer) {
 	if f.metrics {
-		printTotals(totals, rec.Totals())
+		printTotals(totals, f.rec.Totals())
 	}
 	if f.manifest != "" {
-		sm := rec.Sweep(f.tool, os.Args[1:], rendered, time.Since(f.start))
+		sm := f.rec.Sweep(f.tool, os.Args[1:], f.rendered, time.Since(f.start))
 		f.ExitOn(sm.WriteFile(f.manifest))
 		fmt.Printf("manifest: %s (%d runs, rows digest %s)\n", f.manifest, len(sm.Runs), sm.RowsDigest)
 	}
@@ -125,15 +140,15 @@ func (f *Flags) ExitOn(err error) {
 	}
 }
 
-// Ints parses a comma-separated integer list.
-func Ints(csv string) ([]int, error) {
+// Ints parses a comma-separated integer list, exiting on a bad one.
+func (f *Flags) Ints(csv string) []int {
 	var out []int
 	for _, s := range strings.Split(csv, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(s))
 		if err != nil {
-			return nil, fmt.Errorf("bad integer list %q: %v", csv, err)
+			f.ExitOn(fmt.Errorf("bad integer list %q: %v", csv, err))
 		}
 		out = append(out, v)
 	}
-	return out, nil
+	return out
 }

@@ -244,11 +244,20 @@ type slwbWaiter struct {
 	tx *pendingTx
 }
 
+// CheckProcessors reports why a machine cannot have n processors (the
+// range is 1..64), or nil if it can.
+func CheckProcessors(n int) error {
+	if n <= 0 || n > 64 {
+		return fmt.Errorf("machine: processor count %d out of range 1..64", n)
+	}
+	return nil
+}
+
 // New builds a machine running the given program. The program must have
 // exactly cfg.Processors streams.
 func New(cfg Config, prog *trace.Program) (*Machine, error) {
-	if cfg.Processors <= 0 || cfg.Processors > 64 {
-		return nil, fmt.Errorf("machine: processor count %d out of range 1..64", cfg.Processors)
+	if err := CheckProcessors(cfg.Processors); err != nil {
+		return nil, err
 	}
 	if len(prog.Streams) != cfg.Processors {
 		return nil, fmt.Errorf("machine: program %q has %d streams, config wants %d",
@@ -256,6 +265,10 @@ func New(cfg Config, prog *trace.Program) (*Machine, error) {
 	}
 	if cfg.FLWBEntries <= 0 || cfg.SLWBEntries <= 0 {
 		return nil, fmt.Errorf("machine: write buffers must have at least one entry")
+	}
+	ways := max(cfg.SLCWays, 1)
+	if sets := cfg.SLCSize / (mem.BlockBytes * ways); cfg.SLCSize != 0 && (sets <= 0 || sets&(sets-1) != 0) {
+		return nil, fmt.Errorf("machine: a %d-byte %d-way SLC has no power-of-two set count", cfg.SLCSize, ways)
 	}
 	m := &Machine{
 		cfg:   cfg,

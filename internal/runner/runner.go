@@ -48,53 +48,18 @@ func Normalize(workers, jobs int) int {
 
 // Map runs fn over every job on up to workers goroutines (0 means
 // DefaultWorkers) and returns one result and one error slot per job, in
-// submission order. fn receives the job's index and value. A panic in
-// fn propagates to the caller; an error is recorded in the job's slot
-// and the remaining jobs still run.
+// submission order. A panic in fn propagates to the caller; an error is
+// recorded in the job's slot and the remaining jobs still run. Once ctx
+// is done, jobs not yet started are skipped with ctx.Err() in their
+// slots; jobs in flight run to completion.
 //
-// progress, when non-nil, is called after each job finishes with the
-// number of completed jobs and the total; calls are serialized and
-// done is strictly increasing, but with multiple workers the jobs
-// completing in between are not ordered.
-func Map[J, R any](workers int, jobs []J, fn func(i int, job J) (R, error), progress func(done, total int)) ([]R, []error) {
-	var each func(done, total, i int, r R, err error)
-	if progress != nil {
-		each = func(done, total, _ int, _ R, _ error) { progress(done, total) }
-	}
-	return MapEach(workers, jobs, fn, each)
-}
-
-// MapEach is Map with a richer completion hook: each, when non-nil,
-// runs as every job finishes with the completion count, the job total,
-// the finished job's index and its result or error. Calls are
-// serialized (they hold the pool's lock, so each must not itself
-// submit work) and done is strictly increasing, but with multiple
-// workers jobs complete in whatever order the workers finish — the
-// index i says which job this is. The returned slices are still in
-// submission order; each exists so sweeps can stream results (rows,
-// manifests, live metric totals) as they land instead of waiting for
-// the whole fan-out.
-func MapEach[J, R any](workers int, jobs []J, fn func(i int, job J) (R, error), each func(done, total, i int, r R, err error)) ([]R, []error) {
-	return MapEachCtx(context.Background(), workers, jobs,
-		func(_ context.Context, i int, job J) (R, error) { return fn(i, job) }, each)
-}
-
-// MapCtx is Map with cancellation: see MapEachCtx.
-func MapCtx[J, R any](ctx context.Context, workers int, jobs []J, fn func(ctx context.Context, i int, job J) (R, error), progress func(done, total int)) ([]R, []error) {
-	var each func(done, total, i int, r R, err error)
-	if progress != nil {
-		each = func(done, total, _ int, _ R, _ error) { progress(done, total) }
-	}
-	return MapEachCtx(ctx, workers, jobs, fn, each)
-}
-
-// MapEachCtx is MapEach with cancellation: once ctx is done, jobs not
-// yet started are skipped — their error slots record ctx.Err() and
-// each still fires for them, so done reaches the total either way.
-// Jobs already in flight run to completion (fn receives ctx and may
-// shorten its own work). The results of jobs that finished before the
-// cancellation are kept.
-func MapEachCtx[J, R any](ctx context.Context, workers int, jobs []J, fn func(ctx context.Context, i int, job J) (R, error), each func(done, total, i int, r R, err error)) ([]R, []error) {
+// each, when non-nil, runs as every job finishes or is skipped, with
+// the completion count, the job total, the job's index and its result
+// or error, so sweeps can stream results as they land. Calls are
+// serialized (they hold the pool's lock, so each must not submit work)
+// and done rises strictly to the total, but jobs complete in whatever
+// order the workers finish them.
+func Map[J, R any](ctx context.Context, workers int, jobs []J, fn func(ctx context.Context, i int, job J) (R, error), each func(done, total, i int, r R, err error)) ([]R, []error) {
 	results := make([]R, len(jobs))
 	errs := make([]error, len(jobs))
 	if len(jobs) == 0 {

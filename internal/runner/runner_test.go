@@ -18,7 +18,7 @@ func TestMapOrder(t *testing.T) {
 		jobs[i] = i
 	}
 	release := make(chan struct{})
-	results, errs := Map(n, jobs, func(i, job int) (int, error) {
+	results, errs := Map(context.Background(), n, jobs, func(_ context.Context, i, job int) (int, error) {
 		if i == 0 {
 			<-release // job 0 finishes last
 		} else if i == n-1 {
@@ -41,7 +41,7 @@ func TestMapOrder(t *testing.T) {
 func TestMapSerialWorker(t *testing.T) {
 	var order []int
 	jobs := []int{10, 20, 30, 40}
-	results, errs := Map(1, jobs, func(i, job int) (int, error) {
+	results, errs := Map(context.Background(), 1, jobs, func(_ context.Context, i, job int) (int, error) {
 		order = append(order, i) // safe: single worker, no concurrency
 		return job, nil
 	}, nil)
@@ -63,7 +63,7 @@ func TestMapErrorIsolation(t *testing.T) {
 	jobs := []int{0, 1, 2, 3, 4}
 	boom := errors.New("boom")
 	var ran atomic.Int32
-	results, errs := Map(2, jobs, func(i, job int) (int, error) {
+	results, errs := Map(context.Background(), 2, jobs, func(_ context.Context, i, job int) (int, error) {
 		ran.Add(1)
 		if job == 2 {
 			return 0, fmt.Errorf("job %d: %w", job, boom)
@@ -98,9 +98,9 @@ func TestMapProgress(t *testing.T) {
 			jobs := make([]int, n)
 			var calls []int
 			var mu sync.Mutex
-			_, errs := Map(workers, jobs, func(i, job int) (int, error) {
+			_, errs := Map(context.Background(), workers, jobs, func(_ context.Context, i, job int) (int, error) {
 				return 0, nil
-			}, func(done, total int) {
+			}, func(done, total, _, _ int, _ error) {
 				mu.Lock()
 				defer mu.Unlock()
 				if total != n {
@@ -127,12 +127,12 @@ func TestMapProgress(t *testing.T) {
 
 // TestMapEmptyAndDefaults: zero jobs and zero workers are both fine.
 func TestMapEmptyAndDefaults(t *testing.T) {
-	results, errs := Map(0, nil, func(i, job int) (int, error) { return 0, nil }, nil)
+	results, errs := Map(context.Background(), 0, nil, func(_ context.Context, i, job int) (int, error) { return 0, nil }, nil)
 	if len(results) != 0 || len(errs) != 0 {
 		t.Fatalf("empty Map returned %d results, %d errs", len(results), len(errs))
 	}
 	// workers = 0 means DefaultWorkers; the single job still runs.
-	r, e := Map(0, []int{7}, func(i, job int) (int, error) { return job * 2, nil }, nil)
+	r, e := Map(context.Background(), 0, []int{7}, func(_ context.Context, i, job int) (int, error) { return job * 2, nil }, nil)
 	if e[0] != nil || r[0] != 14 {
 		t.Fatalf("default-workers Map = (%d, %v), want (14, nil)", r[0], e[0])
 	}
@@ -227,7 +227,7 @@ func TestCacheDistinctKeys(t *testing.T) {
 	}
 }
 
-// TestMapCtxCancelSkipsRemaining: once the context ends, jobs not yet
+// TestMapCtxCancelSkipsRemaining: once Map's context ends, jobs not yet
 // started are skipped with ctx.Err() in their slots while results that
 // already landed are kept — in both the serial and the parallel pool.
 func TestMapCtxCancelSkipsRemaining(t *testing.T) {
@@ -237,7 +237,7 @@ func TestMapCtxCancelSkipsRemaining(t *testing.T) {
 			const n = 8
 			jobs := make([]int, n)
 			var ran atomic.Int32
-			results, errs := MapCtx(ctx, workers, jobs, func(ctx context.Context, i, _ int) (int, error) {
+			results, errs := Map(ctx, workers, jobs, func(ctx context.Context, i, _ int) (int, error) {
 				ran.Add(1)
 				if i == workers-1 { // last job of the first batch
 					cancel()
@@ -271,14 +271,14 @@ func TestMapCtxCancelSkipsRemaining(t *testing.T) {
 	}
 }
 
-// TestMapEachCtxCancelledJobsStillReported: each fires for skipped jobs
+// TestMapEachCtxCancelledJobsStillReported: Map's each fires for skipped jobs
 // too, so done still reaches the total after a cancellation.
 func TestMapEachCtxCancelledJobsStillReported(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // everything is skipped
 	jobs := []int{1, 2, 3}
 	var calls int
-	_, errs := MapEachCtx(ctx, 1, jobs, func(ctx context.Context, i, j int) (int, error) {
+	_, errs := Map(ctx, 1, jobs, func(ctx context.Context, i, j int) (int, error) {
 		t.Fatal("fn ran under a dead context")
 		return 0, nil
 	}, func(done, total, i int, r int, err error) {
@@ -491,7 +491,7 @@ func TestCacheForget(t *testing.T) {
 	}
 }
 
-// TestMapEachCompletionHook: each sees every job exactly once with a
+// TestMapEachCompletionHook: Map's each sees every job exactly once with a
 // strictly increasing done count, the matching index and that job's
 // result or error — in both the serial and the parallel pool.
 func TestMapEachCompletionHook(t *testing.T) {
@@ -504,7 +504,7 @@ func TestMapEachCompletionHook(t *testing.T) {
 			seen     = map[int]int{} // job index -> result reported to each
 			errAt    = -1
 		)
-		results, errs := MapEach(workers, jobs, func(i int, j int) (int, error) {
+		results, errs := Map(context.Background(), workers, jobs, func(_ context.Context, i int, j int) (int, error) {
 			if i == 3 {
 				return 0, bad
 			}

@@ -144,6 +144,23 @@ func (c Config) runConfig(app string) RunConfig {
 	}
 }
 
+// configOf is the inverse of runConfig: the Config a manifest config
+// record describes.
+func configOf(rc RunConfig) Config {
+	return Config{
+		App:                   rc.App,
+		Scheme:                Scheme(rc.Scheme),
+		Degree:                rc.Degree,
+		Processors:            rc.Processors,
+		SLCBytes:              rc.SLCBytes,
+		SLCWays:               rc.SLCWays,
+		Scale:                 rc.Scale,
+		Seed:                  rc.Seed,
+		SequentialConsistency: rc.SequentialConsistency,
+		BandwidthFactor:       rc.BandwidthFactor,
+	}
+}
+
 // NewManifest builds the provenance record of a completed run: the
 // effective configuration, toolchain and source revision, wall and
 // virtual time, the canonical stats digest, and — when the run

@@ -300,8 +300,8 @@ func TestSweepManifestRecorder(t *testing.T) {
 	var rowsSeen int
 	o := ExpOptions{
 		Procs: 4, Apps: []string{"matmul"}, Seed: 12345, Workers: 2,
-		Record:       rec,
-		OnRowIndexed: func(i, total int, row fmt.Stringer) { rowsSeen++ },
+		Record: rec,
+		emit:   func(i, total int, row fmt.Stringer, err error) { rowsSeen++ },
 	}
 
 	stop := make(chan struct{})

@@ -100,7 +100,7 @@ func BuildApp(name string, params Params) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	return mk(params), nil
+	return mk(params)
 }
 
 // WriteProgram serializes a workload to a portable trace file, draining
@@ -227,9 +227,12 @@ type Config struct {
 	Timeline *TimelineConfig
 }
 
+// withDefaults fills the zero fields with the paper's machine: 16
+// processors, the paper's data sets, degree 1 and no prefetching. Every
+// front end's defaults come from here.
 func (c Config) withDefaults() Config {
 	if c.Processors == 0 {
-		c.Processors = 16
+		c.Processors = workload.DefaultProcs
 	}
 	if c.Degree == 0 {
 		c.Degree = 1
@@ -238,7 +241,7 @@ func (c Config) withDefaults() Config {
 		c.Scheme = Baseline
 	}
 	if c.Scale == 0 {
-		c.Scale = 1
+		c.Scale = workload.DefaultScale
 	}
 	return c
 }
@@ -272,6 +275,9 @@ type Result struct {
 
 // newPrefetcher builds the per-node prefetch engine for a scheme.
 func newPrefetcher(s Scheme, degree int, hints map[PC]int64) (func(int) prefetch.Prefetcher, error) {
+	if s != Baseline && s != "" && degree < 1 {
+		return nil, fmt.Errorf("prefetchsim: degree %d is not positive", degree)
+	}
 	switch s {
 	case Baseline, "":
 		return nil, nil
@@ -305,13 +311,17 @@ func newPrefetcher(s Scheme, degree int, hints map[PC]int64) (func(int) prefetch
 func Run(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 
+	// Checked before the workload is built, which sizes itself by it.
+	if err := machine.CheckProcessors(cfg.Processors); err != nil {
+		return nil, err
+	}
 	prog := cfg.Program
 	if prog == nil {
-		mk, err := apps.Get(cfg.App)
+		var err error
+		prog, err = BuildApp(cfg.App, workload.Params{Procs: cfg.Processors, Scale: cfg.Scale, Seed: cfg.Seed})
 		if err != nil {
 			return nil, err
 		}
-		prog = mk(workload.Params{Procs: cfg.Processors, Scale: cfg.Scale, Seed: cfg.Seed})
 	}
 	defer prog.Stop()
 

@@ -35,6 +35,23 @@ func TestRunUnknownSchemeFails(t *testing.T) {
 	}
 }
 
+// TestRunRejectsUnbuildableConfigs: parameters a component cannot be
+// built with are errors, not panics — a job server runs whatever a
+// client submits.
+func TestRunRejectsUnbuildableConfigs(t *testing.T) {
+	for name, c := range map[string]prefetchsim.Config{
+		"ocean on 2 processors": {App: "ocean", Processors: 2},
+		"65 processors":         {App: "matmul", Processors: 65},
+		"negative degree":       {App: "matmul", Processors: 4, Scheme: prefetchsim.Seq, Degree: -1},
+		"100-byte SLC":          {App: "matmul", Processors: 4, SLCBytes: 100},
+		"3-way 16 KB SLC":       {App: "matmul", Processors: 4, SLCBytes: 16384, SLCWays: 3},
+	} {
+		if _, err := prefetchsim.Run(c); err == nil {
+			t.Errorf("%s: Run returned no error", name)
+		}
+	}
+}
+
 func TestRunBaselineCholesky(t *testing.T) {
 	res, err := prefetchsim.Run(small("cholesky", prefetchsim.Baseline))
 	if err != nil {

@@ -1,6 +1,7 @@
 package prefetchsim
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"time"
@@ -30,20 +31,9 @@ func DefaultWorkers() int { return runner.DefaultWorkers() }
 // produces exactly the results of running the configurations one by
 // one.
 func RunMany(cfgs []Config, workers int, progress func(done, total int)) ([]*Result, []error) {
-	return runner.Map(workers, cfgs, func(_ int, c Config) (*Result, error) {
+	return runner.Map(context.Background(), workers, cfgs, func(_ context.Context, _ int, c Config) (*Result, error) {
 		return Run(c)
-	}, progress)
-}
-
-// RunManyRecorded is RunMany with a manifest recorder attached: every
-// configuration runs with metric collection forced, and rec receives
-// one provenance manifest per completed simulation (in completion
-// order) while the results come back in submission order as usual.
-func RunManyRecorded(cfgs []Config, workers int, rec *ManifestRecorder, progress func(done, total int)) ([]*Result, []error) {
-	o := ExpOptions{Record: rec}
-	return runner.Map(workers, cfgs, func(_ int, c Config) (*Result, error) {
-		return o.run(c)
-	}, progress)
+	}, progressHook[*Result](progress))
 }
 
 // baselineKey identifies one shareable baseline simulation: every
@@ -135,15 +125,8 @@ func (r *ManifestRecorder) Runs() []Manifest {
 // sweep-wide metric snapshot that may be read while the sweep is still
 // running.
 func (r *ManifestRecorder) Totals() map[string]int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	t := make(map[string]int64)
-	for i := range r.runs {
-		for k, v := range r.runs[i].Metrics {
-			t[k] += v
-		}
-	}
-	return t
+	_, totals := r.Status()
+	return totals
 }
 
 // Status returns the completed-run count and the summed metric totals
