@@ -124,35 +124,21 @@ func mustJSON(v any) []byte {
 	return buf
 }
 
-// joinLines renders payload lines as the cached byte blob; splitLines
-// inverts it. The blob is newline-terminated NDJSON, so the cached
-// bytes are exactly what streams to the client.
-func joinLines(lines [][]byte) []byte {
-	var buf bytes.Buffer
-	for _, l := range lines {
-		buf.Write(l)
-		buf.WriteByte('\n')
-	}
-	return buf.Bytes()
-}
-
-func splitLines(data []byte) [][]byte {
-	var lines [][]byte
-	for _, l := range bytes.Split(data, []byte{'\n'}) {
-		if len(l) > 0 {
-			lines = append(lines, l)
-		}
-	}
-	return lines
+// ndjson appends v's NDJSON line, newline included, to buf.
+func ndjson(buf []byte, v any) []byte {
+	return append(append(buf, mustJSON(v)...), '\n')
 }
 
 // job is one submitted job's live state. The mutex guards everything
 // below it; notify is closed and replaced on every observable change,
 // which is what lets any number of stream/SSE watchers follow along
-// without the job ever blocking on a slow client.
+// without the job ever blocking on a slow client. The server holds a
+// job only until it settles; then it keeps the job's record in its
+// history ring, and only the handlers already watching the job still
+// reach its payload.
 type job struct {
 	id      string
-	spec    prefetchsim.Spec
+	kind    string
 	digest  string
 	created time.Time
 	cancel  func() // nil for jobs born terminal (cache hits)
@@ -168,16 +154,20 @@ type job struct {
 	status string
 	cache  string
 	spans  jobSpans
-	lines  [][]byte // payload lines emitted so far
-	done   int      // simulations finished, of total (0/0 for a cache hit)
-	total  int
-	wallNS int64
-	errMsg string
+	// payload is the NDJSON payload emitted so far: exactly the bytes
+	// the result cache stores. It is append-only, so a slice of it
+	// handed to a watcher is never written again.
+	payload []byte
+	rows    int // lines in payload
+	done    int // simulations finished, of total (0/0 for a cache hit)
+	total   int
+	wallNS  int64
+	errMsg  string
 }
 
-func newJob(id string, spec prefetchsim.Spec, digest string) *job {
+func newJob(id, kind, digest string) *job {
 	j := &job{
-		id: id, spec: spec, digest: digest, created: time.Now(),
+		id: id, kind: kind, digest: digest, created: time.Now(),
 		notify: make(chan struct{}), status: statusQueued,
 	}
 	j.spans.SubmitUnixNS = j.created.UnixNano()
@@ -225,16 +215,19 @@ func (j *job) start() {
 
 func (j *job) setProgress(done, total int) { j.update(func() { j.done, j.total = done, total }) }
 
-func (j *job) appendPayload(lines ...[]byte) {
-	if len(lines) == 0 {
-		return
-	}
+// appendPayload appends newline-terminated NDJSON lines to the payload
+// and returns the payload so far, capped so that no later append can
+// write into it.
+func (j *job) appendPayload(lines []byte) (payload []byte) {
 	j.update(func() {
 		if j.spans.StreamingUnixNS == 0 {
 			j.spans.StreamingUnixNS = time.Now().UnixNano()
 		}
-		j.lines = append(j.lines, lines...)
+		j.payload = append(j.payload, lines...)
+		j.rows += bytes.Count(lines, newline)
+		payload = j.payload[:len(j.payload):len(j.payload)]
 	})
+	return payload
 }
 
 // finish settles the job to a terminal state. runUS is the
@@ -263,7 +256,7 @@ func (j *job) completeCached(payload []byte, wall time.Duration) {
 	j.update(func() {
 		j.cache = "hit"
 		j.setStatusLocked(statusDone)
-		j.lines = splitLines(payload)
+		j.payload, j.rows = payload[:len(payload):len(payload)], bytes.Count(payload, newline)
 		j.spans.StreamingUnixNS = time.Now().UnixNano()
 		j.spans.DoneUnixNS = j.spans.StreamingUnixNS
 		j.wallNS = wall.Nanoseconds()
@@ -272,8 +265,8 @@ func (j *job) completeCached(payload []byte, wall time.Duration) {
 
 func (j *job) recordLocked() jobRecord {
 	return jobRecord{
-		ID: j.id, Kind: j.spec.Kind, Digest: j.digest, Status: j.status,
-		Cache: j.cache, Done: j.done, Total: j.total, Rows: len(j.lines),
+		ID: j.id, Kind: j.kind, Digest: j.digest, Status: j.status,
+		Cache: j.cache, Done: j.done, Total: j.total, Rows: j.rows,
 		Error: j.errMsg, CreatedUnixNS: j.created.UnixNano(), WallNS: j.wallNS,
 		Spans: j.spans,
 	}
@@ -285,32 +278,63 @@ func (j *job) record() jobRecord {
 	return j.recordLocked()
 }
 
-// next blocks until the watcher at offset seen has something new:
-// payload lines past seen, or the job reaching a terminal state. ok is
-// false when done ended first. When finished is true the returned
-// lines complete the payload.
-func (j *job) next(done <-chan struct{}, seen int) (lines [][]byte, rec jobRecord, finished, ok bool) {
+// next blocks until the watcher at byte offset off has something new:
+// payload bytes past off, or the job reaching a terminal state. The
+// bytes are a view of the append-only payload, not a copy; when rec is
+// terminal they complete the payload. ok is false when done ended
+// first.
+func (j *job) next(done <-chan struct{}, off int) (chunk []byte, rec jobRecord, ok bool) {
 	for {
 		j.mu.Lock()
-		if len(j.lines) > seen {
-			out := make([][]byte, len(j.lines)-seen)
-			copy(out, j.lines[seen:])
-			rec = j.recordLocked()
-			fin := terminal(j.status)
+		if n := len(j.payload); n > off || terminal(j.status) {
+			chunk, rec = j.payload[off:n:n], j.recordLocked()
 			j.mu.Unlock()
-			return out, rec, fin, true
-		}
-		if terminal(j.status) {
-			rec = j.recordLocked()
-			j.mu.Unlock()
-			return nil, rec, true, true
+			return chunk, rec, true
 		}
 		ch := j.notify
 		j.mu.Unlock()
 		select {
 		case <-ch:
 		case <-done:
-			return nil, jobRecord{}, false, false
+			return nil, jobRecord{}, false
 		}
 	}
 }
+
+var newline = []byte{'\n'}
+
+// historySize is how many settled jobs the server remembers: their
+// compact records answer GET /jobs/{id} and replays from the result
+// cache; older ids answer 404.
+const historySize = 1024
+
+// history is the ring of the most recent settled jobs' records.
+// Callers hold the server's mutex.
+type history struct {
+	recs  [historySize]jobRecord
+	added int            // records ever added; the next goes to recs[added%historySize]
+	slot  map[string]int // id → index in recs
+}
+
+func (h *history) add(rec jobRecord) {
+	i := h.added % historySize
+	if h.added >= historySize {
+		delete(h.slot, h.recs[i].ID)
+	}
+	if h.slot == nil {
+		h.slot = make(map[string]int, historySize)
+	}
+	h.recs[i], h.slot[rec.ID] = rec, i
+	h.added++
+}
+
+func (h *history) get(id string) (jobRecord, bool) {
+	i, ok := h.slot[id]
+	if !ok {
+		return jobRecord{}, false
+	}
+	return h.recs[i], true
+}
+
+// len reports how many records the ring holds.
+func (h *history) len() int { return min(h.added, historySize) }

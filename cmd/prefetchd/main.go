@@ -10,11 +10,15 @@
 // API (plus webstatus's /status, /healthz, /readyz and /metrics):
 //
 //	POST   /jobs            submit a spec; ?stream=1 streams NDJSON
-//	GET    /jobs            list jobs
+//	GET    /jobs            list live and recently settled jobs
 //	GET    /jobs/{id}       one job's record (with lifecycle spans)
 //	GET    /jobs/{id}/stream  replay + follow the job's NDJSON
 //	GET    /jobs/{id}/events  progress as server-sent events
 //	DELETE /jobs/{id}       cancel
+//
+// The server remembers live jobs and the 1,024 most recent settled
+// ones; a settled job keeps only its record, and a replay reads its
+// payload from the result cache (or reports it evicted).
 //
 // Operational logs are structured (JSON on stderr, level via
 // -log-level); the protocol lines the smoke script parses stay on
@@ -86,6 +90,7 @@ func main() {
 	srv, err := webstatus.ServeOpts(*httpAddr, s.status, webstatus.Options{
 		Register: s.register,
 		Metrics:  s.reg,
+		OnScrape: s.sampleMemory,
 		Ready:    s.ready,
 		Pprof:    *pprofOn,
 	})

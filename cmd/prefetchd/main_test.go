@@ -64,6 +64,10 @@ func TestSpecNormalize(t *testing.T) {
 		{Kind: "run", Config: &prefetchsim.RunConfig{}},
 		{Config: &prefetchsim.RunConfig{App: "matmul"}, Apps: []string{"lu"}},
 		{Kind: "figure6", Spans: true},
+		{Config: &prefetchsim.RunConfig{App: "matmul", Degree: 17}},
+		{Config: &prefetchsim.RunConfig{App: "matmul", Degree: -1}},
+		{Kind: "degrees", Apps: []string{"matmul"}, Schemes: []prefetchsim.Scheme{prefetchsim.Seq}, Degrees: []int{1, 1 << 30}},
+		{Kind: "sweep", Apps: []string{"matmul"}, Degrees: []int{32}},
 	} {
 		if _, err := bad.Normalize(); err == nil {
 			t.Errorf("spec %+v: want error", bad)
@@ -75,13 +79,20 @@ func TestSpecNormalize(t *testing.T) {
 // dir) and tears it down with the test.
 func startTestServer(t *testing.T, maxJobs int) (*server, string) {
 	t.Helper()
-	store, err := resultcache.Open(t.TempDir(), 64<<20)
+	return startTestServerCache(t, maxJobs, 64<<20)
+}
+
+// startTestServerCache is startTestServer with a result cache budget
+// of cacheBytes.
+func startTestServerCache(t *testing.T, maxJobs int, cacheBytes int64) (*server, string) {
+	t.Helper()
+	store, err := resultcache.Open(t.TempDir(), cacheBytes)
 	if err != nil {
 		t.Fatalf("open cache: %v", err)
 	}
 	s := newServer(store, 2, maxJobs)
 	srv, err := webstatus.ServeOpts("127.0.0.1:0", s.status, webstatus.Options{
-		Register: s.register, Metrics: s.reg, Ready: s.ready,
+		Register: s.register, Metrics: s.reg, OnScrape: s.sampleMemory, Ready: s.ready,
 	})
 	if err != nil {
 		t.Fatalf("listen: %v", err)
@@ -172,11 +183,9 @@ func TestCacheHitByteIdentical(t *testing.T) {
 		t.Fatalf("second submission: status %q cache %q, want done/hit", done2.Status, done2.Cache)
 	}
 
-	h1 := sha256.Sum256(joinLines(payload1))
-	h2 := sha256.Sum256(joinLines(payload2))
-	if h1 != h2 {
-		t.Fatalf("cache hit payload differs from the original:\n%s\n----\n%s",
-			joinLines(payload1), joinLines(payload2))
+	blob1, blob2 := bytes.Join(payload1, newline), bytes.Join(payload2, newline)
+	if sha256.Sum256(blob1) != sha256.Sum256(blob2) {
+		t.Fatalf("cache hit payload differs from the original:\n%s\n----\n%s", blob1, blob2)
 	}
 	if hits, misses := s.hits.Value(), s.misses.Value(); hits != 1 || misses != 1 {
 		t.Fatalf("cache counters: hits=%d misses=%d, want 1/1", hits, misses)
@@ -293,8 +302,7 @@ func TestCancelQueuedJob(t *testing.T) {
 	// The cancelled job settles without waiting for the slot holder.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		j := s.getJob(qRec.ID)
-		if rec := j.record(); terminal(rec.Status) {
+		if _, rec, _ := s.lookup(qRec.ID); terminal(rec.Status) {
 			if rec.Status != statusCancelled {
 				t.Fatalf("queued job settled as %q, want cancelled", rec.Status)
 			}
@@ -360,7 +368,7 @@ func TestStreamEndpointReplays(t *testing.T) {
 	if done.Status != statusDone {
 		t.Fatalf("replay done: %+v", done)
 	}
-	if !bytes.Equal(joinLines(payload1), joinLines(payload2)) {
+	if !bytes.Equal(bytes.Join(payload1, newline), bytes.Join(payload2, newline)) {
 		t.Fatal("replayed payload differs from the original stream")
 	}
 }
@@ -404,23 +412,30 @@ func TestEventsEndpoint(t *testing.T) {
 }
 
 // TestBadSpecRejectedServerSurvives: a spec whose application cannot be
-// built at its processor count answers 400 rather than panicking the
-// server, and the same server then runs a valid job.
+// built at its processor count, or whose prefetch degree would keep a
+// slot busy indefinitely, answers 400 rather than panicking or hanging
+// the server, and the same server then runs a valid job.
 func TestBadSpecRejectedServerSurvives(t *testing.T) {
 	s, base := startTestServer(t, 2)
-	resp, err := http.Post(base+"/jobs", "application/json",
-		strings.NewReader(`{"config":{"app":"ocean","processors":2}}`))
-	if err != nil {
-		t.Fatalf("POST bad spec: %v", err)
+	bad := []struct{ spec, cause string }{
+		{`{"config":{"app":"ocean","processors":2}}`, "perfect square"},
+		{`{"config":{"app":"listchase","scheme":"Seq","degree":1073741824,"processors":4}}`, "degree 1073741824 out of range"},
+		{`{"kind":"degrees","apps":["matmul"],"schemes":["Seq"],"degrees":[2,64],"procs":4}`, "degree 64 out of range"},
 	}
-	var buf bytes.Buffer
-	buf.ReadFrom(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(buf.String(), "perfect square") {
-		t.Fatalf("bad spec: status %d body %s, want 400 naming the cause", resp.StatusCode, buf.String())
+	for _, c := range bad {
+		resp, err := http.Post(base+"/jobs", "application/json", strings.NewReader(c.spec))
+		if err != nil {
+			t.Fatalf("POST bad spec: %v", err)
+		}
+		var buf bytes.Buffer
+		buf.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(buf.String(), c.cause) {
+			t.Fatalf("%s: status %d body %s, want 400 naming the cause", c.spec, resp.StatusCode, buf.String())
+		}
 	}
-	if n := s.badSpec.Value(); n != 1 {
-		t.Fatalf("jobs.spec.invalid = %d, want 1", n)
+	if n := s.badSpec.Value(); n != int64(len(bad)) {
+		t.Fatalf("jobs.spec.invalid = %d, want %d", n, len(bad))
 	}
 	if _, _, done := submitStream(t, base, `{"config":{"app":"matmul","processors":4}}`); done.Status != statusDone {
 		t.Fatalf("valid job after the bad spec: %+v", done)

@@ -1,12 +1,19 @@
 package main
 
 import (
+	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
+	"os"
+	"runtime/metrics"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -17,10 +24,13 @@ import (
 	"prefetchsim/internal/webstatus"
 )
 
-// server owns the job table, the admission semaphore, the in-flight
-// dedup and the persistent result cache. Request handlers only read
-// and enqueue; simulations run on per-job goroutines accounted by wg
-// so shutdown can drain them.
+// server owns the live-job table, the history of settled jobs, the
+// admission semaphore, the in-flight dedup and the persistent result
+// cache. Request handlers only read and enqueue; simulations run on
+// per-job goroutines accounted by wg so shutdown can drain them. Its
+// memory is bounded by the live jobs and the fixed history: a settled
+// job keeps only its record, and its payload lives in the result
+// cache.
 type server struct {
 	store   *resultcache.Store
 	workers int           // simulation workers per job
@@ -50,6 +60,10 @@ type server struct {
 	// to streaming clients; sseSubs gauges live /events watchers.
 	streamRows, streamBytes *obs.AtomicCounter
 	sseSubs                 *obs.AtomicGauge
+	// retained gauges the jobs the server remembers: live jobs plus
+	// the history ring. rss and heap are the process's resident set and
+	// Go heap in use, sampled at every /metrics scrape.
+	retained, rss, heap *obs.AtomicGauge
 
 	// Submission-level cache dispositions (distinct from the store's
 	// own counters: a coalesced job never touches the store).
@@ -61,9 +75,10 @@ type server struct {
 	flight runner.Cache[string, []byte]
 
 	mu       sync.Mutex
-	jobs     map[string]*job
-	order    []string // submission order, for listing
-	seq      int
+	jobs     map[string]*job // live jobs: accepted and not yet settled
+	settled  history         // records of the most recent settled jobs
+	seq      int             // jobs ever accepted
+	rows     int             // payload lines of every job ever settled
 	draining bool
 
 	wg sync.WaitGroup // in-flight job goroutines
@@ -109,6 +124,9 @@ func newServer(store *resultcache.Store, workers, maxJobs int) *server {
 	s.streamRows = reg.AtomicCounter("stream.rows")
 	s.streamBytes = reg.AtomicCounter("stream.bytes")
 	s.sseSubs = reg.AtomicGauge("sse.subscribers")
+	s.retained = reg.AtomicGauge("jobs.retained")
+	s.rss = reg.AtomicGauge("process.resident_memory_bytes")
+	s.heap = reg.AtomicGauge("go.heap_inuse_bytes")
 	s.hits = reg.AtomicCounter("jobs.cache.hits")
 	s.misses = reg.AtomicCounter("jobs.cache.misses")
 	s.coalesced = reg.AtomicCounter("jobs.cache.coalesced")
@@ -129,9 +147,9 @@ func (s *server) onJobState(old, new string) {
 	}
 }
 
-// submit registers a normalized spec as a job. Cache hits are born
-// terminal with the stored payload; misses start computing on their
-// own goroutine.
+// submit registers a normalized spec as a job. A cache hit is born
+// terminal with the stored payload and goes straight to the history; a
+// miss joins the live jobs and starts computing on its own goroutine.
 func (s *server) submit(spec prefetchsim.Spec) (*job, error) {
 	digest := spec.Digest()
 	s.mu.Lock()
@@ -140,23 +158,24 @@ func (s *server) submit(spec prefetchsim.Spec) (*job, error) {
 		return nil, errDraining
 	}
 	s.seq++
-	id := fmt.Sprintf("j%d", s.seq)
-	j := newJob(id, spec, digest)
+	j := newJob(fmt.Sprintf("j%d", s.seq), spec.Kind, digest)
 	j.onState = s.onJobState
 	s.jobState[statusQueued].Add(1)
-	s.jobs[id] = j
-	s.order = append(s.order, id)
 
 	readStart := time.Now()
 	payload, hit := s.store.Get(digest)
 	if hit {
 		s.hits.Inc()
 		j.completeCached(payload, time.Since(readStart))
+		rec := j.record()
+		s.retireLocked(rec)
 		s.mu.Unlock()
 		s.log.Info("job submitted", "job", j.id, "kind", spec.Kind, "digest", digest)
-		s.recordSettled(j)
+		s.recordSettled(rec)
 		return j, nil
 	}
+	s.jobs[j.id] = j
+	s.retained.Set(int64(len(s.jobs) + s.settled.len()))
 	s.misses.Inc()
 	ctx, cancel := context.WithCancel(context.Background())
 	j.cancel = cancel
@@ -167,7 +186,7 @@ func (s *server) submit(spec prefetchsim.Spec) (*job, error) {
 	j.setCache("miss")
 	s.rm.Enqueue()
 	j.enqueued()
-	go s.runJob(ctx, j, time.Now())
+	go s.runJob(ctx, j, spec, time.Now())
 	return j, nil
 }
 
@@ -175,7 +194,7 @@ func (s *server) submit(spec prefetchsim.Spec) (*job, error) {
 // an identical in-flight computation), persists the payload and
 // settles the job's terminal state. enq anchors the queue-wait
 // measurement.
-func (s *server) runJob(ctx context.Context, j *job, enq time.Time) {
+func (s *server) runJob(ctx context.Context, j *job, spec prefetchsim.Spec, enq time.Time) {
 	defer s.wg.Done()
 	defer j.cancel()
 
@@ -201,7 +220,7 @@ func (s *server) runJob(ctx context.Context, j *job, enq time.Time) {
 	owned := false
 	payload, err := s.flight.DoCtx(ctx, j.digest, func(ctx context.Context) ([]byte, error) {
 		owned = true
-		return s.compute(ctx, j)
+		return s.compute(ctx, j, spec)
 	})
 	wall := time.Since(start)
 	switch {
@@ -216,7 +235,7 @@ func (s *server) runJob(ctx context.Context, j *job, enq time.Time) {
 			// arrives whole, not streamed row by row.
 			s.coalesced.Inc()
 			j.setCache("coalesced")
-			j.appendPayload(splitLines(payload)...)
+			j.appendPayload(payload)
 		}
 		s.settle(j, statusDone, wall, nil, s.rm.Finish(wall, true))
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
@@ -226,20 +245,32 @@ func (s *server) runJob(ctx context.Context, j *job, enq time.Time) {
 	}
 }
 
-// settle drives the job terminal and folds its span into the per-class
-// aggregate. runUS is the value Finish observed into the run histogram
-// (0 when the job was never admitted) — passing the identical value
-// into the span record is what makes the aggregate reconcile with the
-// histograms exactly.
+// settle drives the job terminal, moves it from the live jobs to the
+// history and folds its span into the per-class aggregate. runUS is
+// the value Finish observed into the run histogram (0 when the job was
+// never admitted) — passing the identical value into the span record
+// is what makes the aggregate reconcile with the histograms exactly.
 func (s *server) settle(j *job, status string, wall time.Duration, err error, runUS int64) {
 	j.finish(status, wall, err, runUS)
-	s.recordSettled(j)
+	rec := j.record()
+	s.mu.Lock()
+	s.retireLocked(rec)
+	s.mu.Unlock()
+	s.recordSettled(rec)
 }
 
-// recordSettled folds a terminal job's span into the per-class
+// retireLocked forgets a settled job but for its record, which joins
+// the history. Callers hold s.mu.
+func (s *server) retireLocked(rec jobRecord) {
+	delete(s.jobs, rec.ID)
+	s.settled.add(rec)
+	s.rows += rec.Rows
+	s.retained.Set(int64(len(s.jobs) + s.settled.len()))
+}
+
+// recordSettled folds a settled job's span into the per-class
 // aggregate (keyed by cache disposition) and emits the settle log line.
-func (s *server) recordSettled(j *job) {
-	rec := j.record()
+func (s *server) recordSettled(rec jobRecord) {
 	class := rec.Cache
 	if class == "" {
 		class = "miss"
@@ -291,65 +322,51 @@ func (s *server) ready() (bool, string) {
 	return true, ""
 }
 
-// compute executes the job's spec and returns the deterministic
-// payload blob, streaming each payload line into j as it is produced.
-// Rows stream in submission order, so the live stream is
-// byte-identical to the cached payload however many workers race.
-func (s *server) compute(ctx context.Context, j *job) ([]byte, error) {
+// compute executes spec and returns the deterministic payload blob,
+// streaming each payload line into j as it is produced. Rows stream in
+// submission order, so the live stream is byte-identical to the cached
+// payload however many workers race.
+func (s *server) compute(ctx context.Context, j *job, spec prefetchsim.Spec) ([]byte, error) {
 	// The recorder's manifests carry the metric totals and a run's
 	// result-line digests.
-	spec, rec := j.spec, new(prefetchsim.ManifestRecorder)
+	rec := new(prefetchsim.ManifestRecorder)
 	opt := prefetchsim.ExpOptions{Ctx: ctx, Workers: s.workers, Progress: j.setProgress, Record: rec}
-	var all [][]byte
 	var texts []string
 	err := spec.Execute(opt, func(i, total int, row fmt.Stringer) {
 		text := row.String()
 		texts = append(texts, text)
-		line := mustJSON(rowLine{Type: "row", I: i, Total: total, Text: text})
-		all = append(all, line)
-		j.appendPayload(line)
+		j.appendPayload(ndjson(nil, rowLine{Type: "row", I: i, Total: total, Text: text}))
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	var tail [][]byte
+	var tail []byte
 	if spec.Metrics {
-		tail = append(tail, mustJSON(metricsLine{Type: "metrics", Totals: rec.Totals()}))
+		tail = ndjson(tail, metricsLine{Type: "metrics", Totals: rec.Totals()})
 	}
 	res := resultLine{Type: "result", Kind: spec.Kind, Rows: len(texts), RowsDigest: prefetchsim.DigestRows(texts)}
 	if spec.Kind == "run" {
 		m := rec.Runs()[0]
 		if spec.Spans && m.Spans != nil {
-			tail = append(tail, mustJSON(spansLine{Type: "spans", Summary: m.Spans}))
+			tail = ndjson(tail, spansLine{Type: "spans", Summary: m.Spans})
 		}
 		res.StatsDigest, res.ConfigDigest, res.VirtualTime = m.StatsDigest, m.ConfigDigest, m.VirtualTime
 	}
-	tail = append(tail, mustJSON(res))
-	all = append(all, tail...)
-	j.appendPayload(tail...)
-	return joinLines(all), nil
+	return j.appendPayload(ndjson(tail, res)), nil
 }
 
-// getJob looks a job up by id.
-func (s *server) getJob(id string) *job {
+// lookup finds a job by id: live (j set) or settled and still in the
+// history (j nil). rec is its current record.
+func (s *server) lookup(id string) (j *job, rec jobRecord, ok bool) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.jobs[id]
-}
-
-// cancelJob requests cancellation; the job settles to its terminal
-// state asynchronously (an in-flight simulation completes first).
-// Reports whether the job exists.
-func (s *server) cancelJob(id string) (*job, bool) {
-	j := s.getJob(id)
-	if j == nil {
-		return nil, false
+	j = s.jobs[id]
+	rec, ok = s.settled.get(id)
+	s.mu.Unlock()
+	if j != nil {
+		return j, j.record(), true
 	}
-	if j.cancel != nil {
-		j.cancel()
-	}
-	return j, true
+	return nil, rec, ok
 }
 
 // drain stops admitting jobs, waits up to timeout for in-flight ones,
@@ -377,23 +394,20 @@ func (s *server) drain(timeout time.Duration) {
 	<-done
 }
 
-// status is the webstatus snapshot: job counts by state, cache
-// counters, build info and the per-class job-span aggregate.
+// status is the webstatus snapshot: cumulative job counts by state,
+// cache counters, build info and the per-class job-span aggregate. It
+// reads counters only, never the jobs themselves.
 func (s *server) status() webstatus.Status {
 	s.mu.Lock()
-	counts := map[string]int64{}
-	finished, rows := 0, 0
-	for _, j := range s.jobs {
-		rec := j.record()
-		counts["jobs."+rec.Status]++
-		if terminal(rec.Status) {
-			finished++
-		}
-		rows += rec.Rows
-	}
-	total := len(s.jobs)
+	total, finished, rows := s.seq, s.settled.added, s.rows
 	s.mu.Unlock()
 
+	counts := map[string]int64{}
+	for st, g := range s.jobState {
+		if v := g.Value(); v != 0 {
+			counts["jobs."+st] = v
+		}
+	}
 	counts["cache.objects"] = int64(s.store.Len())
 	counts["cache.bytes"] = s.store.Bytes()
 	counts["cache.evictions"] = s.store.Evictions()
@@ -409,6 +423,23 @@ func (s *server) status() webstatus.Status {
 		StartUnixNS: s.start.UnixNano(),
 		UptimeNS:    time.Since(s.start).Nanoseconds(),
 	}
+}
+
+// sampleMemory sets the process memory gauges; /metrics calls it before
+// every scrape. The resident set comes from /proc/self/statm, so it
+// stays 0 where that file does not exist.
+func (s *server) sampleMemory() {
+	if statm, err := os.ReadFile("/proc/self/statm"); err == nil {
+		if f := strings.Fields(string(statm)); len(f) > 1 {
+			if pages, err := strconv.ParseInt(f[1], 10, 64); err == nil {
+				s.rss.Set(pages * int64(os.Getpagesize()))
+			}
+		}
+	}
+	// HeapInuse: the bytes of in-use heap spans, objects and free slots.
+	sm := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}, {Name: "/memory/classes/heap/unused:bytes"}}
+	metrics.Read(sm)
+	s.heap.Set(int64(sm[0].Value.Uint64() + sm[1].Value.Uint64()))
 }
 
 // register mounts the job API on the webstatus mux (which already
@@ -453,107 +484,134 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusServiceUnavailable, err)
 		return
 	}
+	rec := j.record()
 	if r.URL.Query().Get("stream") != "" {
-		s.streamJob(w, r, j)
+		s.streamJob(w, r, j, rec)
 		return
 	}
 	code := http.StatusAccepted
-	if rec := j.record(); terminal(rec.Status) {
+	if terminal(rec.Status) {
 		code = http.StatusOK
 	}
-	writeJSON(w, code, j.record())
+	writeJSON(w, code, rec)
 }
 
+// handleList lists the jobs the server remembers, live and settled, in
+// submission order.
 func (s *server) handleList(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
-	recs := make([]jobRecord, 0, len(s.order))
-	for _, id := range s.order {
-		recs = append(recs, s.jobs[id].record())
+	recs := slices.Clone(s.settled.recs[:s.settled.len()])
+	live := make([]*job, 0, len(s.jobs))
+	for _, j := range s.jobs {
+		live = append(live, j)
 	}
 	s.mu.Unlock()
+	for _, j := range live {
+		recs = append(recs, j.record())
+	}
+	// Ids are "j<seq>": a shorter id is an older job.
+	slices.SortFunc(recs, func(a, b jobRecord) int {
+		return cmp.Or(cmp.Compare(len(a.ID), len(b.ID)), strings.Compare(a.ID, b.ID))
+	})
 	writeJSON(w, http.StatusOK, recs)
 }
 
+var errNoJob = errors.New("no such job")
+
 func (s *server) handleGet(w http.ResponseWriter, r *http.Request) {
-	j := s.getJob(r.PathValue("id"))
-	if j == nil {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("no such job"))
+	_, rec, ok := s.lookup(r.PathValue("id"))
+	if !ok {
+		writeErr(w, http.StatusNotFound, errNoJob)
 		return
 	}
-	writeJSON(w, http.StatusOK, j.record())
+	writeJSON(w, http.StatusOK, rec)
 }
 
+// handleCancel requests cancellation; the job settles to its terminal
+// state asynchronously (an in-flight simulation completes first).
 func (s *server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.cancelJob(r.PathValue("id"))
+	j, rec, ok := s.lookup(r.PathValue("id"))
 	if !ok {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("no such job"))
+		writeErr(w, http.StatusNotFound, errNoJob)
 		return
 	}
-	writeJSON(w, http.StatusOK, j.record())
+	if j != nil && j.cancel != nil {
+		j.cancel()
+	}
+	writeJSON(w, http.StatusOK, rec)
 }
 
 func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
-	j := s.getJob(r.PathValue("id"))
-	if j == nil {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("no such job"))
+	j, rec, ok := s.lookup(r.PathValue("id"))
+	if !ok {
+		writeErr(w, http.StatusNotFound, errNoJob)
 		return
 	}
-	s.streamJob(w, r, j)
+	s.streamJob(w, r, j, rec)
 }
 
-// streamJob writes the job's NDJSON stream: a per-request job header,
-// the (cached or live) payload lines, and a per-request done trailer.
-// The payload lines between header and trailer are byte-identical
-// across requests for the same spec — that is the cache contract.
-func (s *server) streamJob(w http.ResponseWriter, r *http.Request, j *job) {
+// errEvicted ends the replay of a settled job whose payload the result
+// cache no longer holds.
+var errEvicted = errors.New("payload evicted from the result cache; resubmit the spec")
+
+// streamJob writes a job's NDJSON stream: a per-request job header,
+// the payload and a per-request done trailer. A live job j streams
+// from its own payload as it grows; a settled one (j nil, rec its
+// record) replays its payload from the result cache, and when the
+// cache has evicted it the trailer reports a failure. The payload
+// between header and trailer is byte-identical across requests for
+// the same spec — that is the cache contract.
+func (s *server) streamJob(w http.ResponseWriter, r *http.Request, j *job, rec jobRecord) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")
 	fl, _ := w.(http.Flusher)
-	flush := func() {
+	write := func(b []byte) {
+		if len(b) == 0 {
+			return
+		}
+		w.Write(b)
+		s.streamRows.Add(int64(bytes.Count(b, newline)))
+		s.streamBytes.Add(int64(len(b)))
 		if fl != nil {
 			fl.Flush()
 		}
 	}
-	writeLine := func(line []byte) {
-		w.Write(line)
-		w.Write([]byte{'\n'})
-		s.streamRows.Inc()
-		s.streamBytes.Add(int64(len(line)) + 1)
-	}
 
-	writeLine(mustJSON(jobLine{Type: "job", jobRecord: j.record()}))
-	flush()
-
-	seen := 0
-	for {
-		lines, rec, finished, ok := j.next(r.Context().Done(), seen)
-		if !ok {
-			return // client went away
+	write(ndjson(nil, jobLine{Type: "job", jobRecord: rec}))
+	if j != nil {
+		for off := 0; ; {
+			chunk, now, ok := j.next(r.Context().Done(), off)
+			if !ok {
+				return // client went away
+			}
+			write(chunk)
+			off += len(chunk)
+			if rec = now; terminal(rec.Status) {
+				break
+			}
 		}
-		for _, l := range lines {
-			writeLine(l)
-		}
-		seen += len(lines)
-		flush()
-		if finished {
-			writeLine(mustJSON(doneLine{
-				Type: "done", Status: rec.Status, Cache: rec.Cache,
-				Rows: rec.Rows, WallNS: rec.WallNS, Error: rec.Error,
-			}))
-			flush()
-			return
+	} else if rec.Status == statusDone {
+		if payload, ok := s.store.Get(rec.Digest); ok {
+			write(payload)
+		} else {
+			rec.Status, rec.Error = statusFailed, errEvicted.Error()
 		}
 	}
+	write(ndjson(nil, doneLine{
+		Type: "done", Status: rec.Status, Cache: rec.Cache,
+		Rows: rec.Rows, WallNS: rec.WallNS, Error: rec.Error,
+	}))
 }
 
 // handleEvents serves job progress as server-sent events: one
 // "progress" event per state change, a final "done" event, then EOF.
-// The subscriber gauge tracks live watchers; it returns to its prior
-// level however the watcher leaves (done event or disconnect).
+// A settled job sends its done event at once. The subscriber gauge
+// tracks live watchers; it returns to its prior level however the
+// watcher leaves (done event or disconnect).
 func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j := s.getJob(r.PathValue("id"))
-	if j == nil {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("no such job"))
+	j, rec, ok := s.lookup(r.PathValue("id"))
+	if !ok {
+		writeErr(w, http.StatusNotFound, errNoJob)
 		return
 	}
 	s.sseSubs.Add(1)
@@ -563,12 +621,13 @@ func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	fl, _ := w.(http.Flusher)
 
 	var last jobRecord
-	first := true
-	for {
-		j.mu.Lock()
-		rec := j.recordLocked()
-		ch := j.notify
-		j.mu.Unlock()
+	var ch chan struct{}
+	for first := true; ; first = false {
+		if j != nil {
+			j.mu.Lock()
+			rec, ch = j.recordLocked(), j.notify
+			j.mu.Unlock()
+		}
 		if first || rec != last {
 			event := "progress"
 			if terminal(rec.Status) {
@@ -578,7 +637,7 @@ func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			if fl != nil {
 				fl.Flush()
 			}
-			last, first = rec, false
+			last = rec
 		}
 		if terminal(rec.Status) {
 			return

@@ -47,11 +47,7 @@ func waitTerminal(t *testing.T, s *server, id string) jobRecord {
 	t.Helper()
 	var rec jobRecord
 	waitFor(t, "job "+id+" to settle", func() bool {
-		j := s.getJob(id)
-		if j == nil {
-			return false
-		}
-		rec = j.record()
+		_, rec, _ = s.lookup(id)
 		return terminal(rec.Status)
 	})
 	return rec
@@ -225,8 +221,9 @@ func TestSSESubscriberLifecycle(t *testing.T) {
 
 // TestMetricsEndpoint scrapes /metrics after a miss + hit pair and
 // checks the exposition end to end: the resultcache counters moved,
-// the runner pipeline drained back to zero, and the histograms are
-// valid Prometheus (typed, with +Inf buckets).
+// the runner pipeline drained back to zero, both jobs are retained,
+// the process memory gauges read, and the histograms are valid
+// Prometheus (typed, with +Inf buckets).
 func TestMetricsEndpoint(t *testing.T) {
 	_, base := startTestServer(t, 2)
 
@@ -255,6 +252,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"jobs_cache_hits_total 1\n",
 		"jobs_cache_misses_total 1\n",
 		"jobs_done 2\n",
+		"jobs_retained 2\n",
 		"runner_queue_depth 0\n",
 		"runner_inflight 0\n",
 		"runner_completed_total 1\n",
@@ -265,6 +263,15 @@ func TestMetricsEndpoint(t *testing.T) {
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", strings.TrimSpace(want))
+		}
+	}
+	// The memory gauges are sampled at scrape time, so they are set.
+	for _, gauge := range []string{"process_resident_memory_bytes", "go_heap_inuse_bytes"} {
+		var v int64
+		if i := strings.Index(body, "\n"+gauge+" "); i < 0 {
+			t.Errorf("/metrics missing %s", gauge)
+		} else if fmt.Sscan(body[i+len(gauge)+2:], &v); v <= 0 {
+			t.Errorf("%s = %d, want > 0", gauge, v)
 		}
 	}
 	// Streaming counters saw both transcripts (header + payload +

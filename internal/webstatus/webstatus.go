@@ -104,6 +104,10 @@ type Options struct {
 	// Metrics, when non-nil, serves the registry's Prometheus text
 	// exposition at /metrics.
 	Metrics *obs.Registry
+	// OnScrape, when non-nil, runs before each /metrics render, so a
+	// server can set the gauges it reads at scrape time (cmd/prefetchd
+	// samples its process memory).
+	OnScrape func()
 	// Ready, when non-nil, backs /readyz: 200 "ok" when ready, 503
 	// with the returned reason otherwise. A server is typically ready
 	// once its state is loaded and it is not draining. Without Ready,
@@ -153,6 +157,9 @@ func ServeOpts(addr string, fn func() Status, o Options) (*Server, error) {
 	if o.Metrics != nil {
 		mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", obs.PromContentType)
+			if o.OnScrape != nil {
+				o.OnScrape()
+			}
 			o.Metrics.WritePrometheus(w)
 		})
 	}

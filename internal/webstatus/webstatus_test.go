@@ -226,17 +226,20 @@ func TestProgressConcurrent(t *testing.T) {
 // TestServeOptsTelemetry covers the opt-in surfaces: /metrics serves
 // the registry's Prometheus exposition with the right content type,
 // /readyz follows the Ready callback (503 + reason when not ready),
-// and the pprof index mounts only when asked for.
+// a gauge OnScrape sets shows in the same scrape, and the pprof index
+// mounts only when asked for.
 func TestServeOptsTelemetry(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.AtomicCounter("resultcache.hits").Add(3)
+	scraped := reg.AtomicGauge("scrapes")
 	ready := false
 	srv, err := ServeOpts("127.0.0.1:0", func() Status {
 		return Status{Tool: "test", Version: "v1", GitSHA: "abc"}
 	}, Options{
-		Metrics: reg,
-		Ready:   func() (bool, string) { return ready, "index loading" },
-		Pprof:   true,
+		Metrics:  reg,
+		OnScrape: func() { scraped.Add(1) },
+		Ready:    func() (bool, string) { return ready, "index loading" },
+		Pprof:    true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -267,6 +270,9 @@ func TestServeOptsTelemetry(t *testing.T) {
 	}
 	if !strings.Contains(body, "# TYPE resultcache_hits_total counter\nresultcache_hits_total 3\n") {
 		t.Fatalf("/metrics exposition missing counter:\n%s", body)
+	}
+	if !strings.Contains(body, "\nscrapes 1\n") {
+		t.Fatalf("/metrics exposition lacks the gauge OnScrape set:\n%s", body)
 	}
 
 	if code, _, _ := get("/debug/pprof/"); code != http.StatusOK {

@@ -12,10 +12,14 @@
 #   - the hit is at least 10x faster than the miss (server-side
 #     wall_ns, so client startup noise doesn't count),
 #   - a /metrics scrape after the hit shows the resultcache hit counter
-#     incremented and the runner queue drained back to zero,
+#     incremented, the runner queue drained back to zero and the
+#     jobs_retained gauge present,
+#   - the first job, settled and reduced to its history record by now,
+#     re-streams through /jobs/<id>/stream from the result cache with
+#     the same row lines,
 #   - SIGTERM drains gracefully and persists the cache index.
 #
-# Both transcripts and the Prometheus scrape land in the artifact
+# The three transcripts and the Prometheus scrape land in the artifact
 # directory for offline inspection (CI uploads them).
 #
 # Usage: scripts/prefetchd_smoke.sh [artifact-dir]
@@ -111,6 +115,17 @@ grep -q '^runner_queue_depth 0$' "$art/metrics.prom" \
   || die "runner queue depth not back to zero after the jobs settled"
 grep -q '^# TYPE runner_run_us histogram$' "$art/metrics.prom" \
   || die "runner run-latency histogram missing from the exposition"
+grep -q '^jobs_retained [0-9]' "$art/metrics.prom" \
+  || die "jobs_retained gauge missing from the exposition"
+
+echo "== re-stream of the settled first job"
+id1="$(grep '"type":"job"' "$art/run1.ndjson" | sed -n 's/.*"id":"\([^"]*\)".*/\1/p')"
+[[ -n "$id1" ]] || die "first transcript has no job id"
+curl -fsS "http://$addr/jobs/$id1/stream" >"$art/restream1.ndjson" || die "re-stream of $id1 failed"
+[[ "$(done_field "$art/restream1.ndjson" status)" == "done" ]] \
+  || die "re-stream of $id1 did not end done: $(grep '"type":"done"' "$art/restream1.ndjson")"
+grep '"type":"row"' "$art/restream1.ndjson" >"$work/rows3"
+cmp "$work/rows1" "$work/rows3" || die "re-streamed rows of $id1 differ from its first transcript"
 
 echo "== hit must be >=10x faster (miss ${wall1}ns vs hit ${wall2}ns)"
 [[ -n "$wall1" && -n "$wall2" && "$wall2" -gt 0 ]] || die "missing wall_ns in done lines"

@@ -56,6 +56,11 @@ type Spec struct {
 // so a submitted spec cannot ask for more than a host holds.
 const maxScale = 8
 
+// maxDegree bounds a spec's prefetch degrees at the SLWB depth, the
+// most prefetches that can be in flight. Without it one spec could
+// hold a job slot indefinitely: a run at degree 1<<30 does not finish.
+const maxDegree = 16
+
 // kind is one experiment: the fields it reads, those of them that take
 // exactly one value (one) or at least one (need), and how it runs.
 type kind struct {
@@ -106,8 +111,9 @@ func DecodeSpec(r io.Reader) (Spec, error) {
 // Normalize validates the spec and applies the defaults, so equivalent
 // spellings of one experiment normalize (and digest) alike. It rejects
 // a field the kind does not read, a processor count outside 1..64, a
-// data set beyond scale 8 and an application that cannot be built with
-// the spec's parameters. Unknown application and scheme names pass: they
+// data set beyond scale 8, a prefetch degree outside 1..16 (0 stands
+// for the default, 1) and an application that cannot be built with the
+// spec's parameters. Unknown application and scheme names pass: they
 // fail only the jobs that name them. Normalize is idempotent.
 func (s Spec) Normalize() (Spec, error) {
 	if s.Kind == "" {
@@ -144,6 +150,16 @@ func (s Spec) Normalize() (Spec, error) {
 			return s, fmt.Errorf("%s spec: needs exactly one of %s", s.Kind, f.name)
 		case has(k.need, f.name) && f.n == 0:
 			return s, fmt.Errorf("%s spec: needs %s", s.Kind, f.name)
+		}
+	}
+
+	degrees := s.Degrees
+	if s.Config != nil {
+		degrees = []int{s.Config.Degree}
+	}
+	for _, d := range degrees {
+		if d < 0 || d > maxDegree {
+			return s, fmt.Errorf("%s spec: prefetch degree %d out of range 1..%d", s.Kind, d, maxDegree)
 		}
 	}
 

@@ -13,7 +13,8 @@ import (
 // does and checks every spec Normalize accepts: normalizing again
 // changes nothing, the digest is stable, and every application the
 // spec names builds (or reports why not) without panicking — a panic
-// there would take the whole server down.
+// there would take the whole server down — and no accepted prefetch
+// degree exceeds the SLWB depth, which bounds how long one job can run.
 func FuzzSpec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		spec, err := prefetchsim.DecodeSpec(bytes.NewReader(body))
@@ -33,6 +34,15 @@ func FuzzSpec(f *testing.F) {
 		}
 		if d1, d2 := once.Digest(), twice.Digest(); d1 != d2 {
 			t.Fatalf("digest changed on renormalizing: %s -> %s", d1, d2)
+		}
+		degrees := once.Degrees
+		if c := once.Config; c != nil {
+			degrees = []int{c.Degree}
+		}
+		for _, d := range degrees {
+			if d < 0 || d > 16 {
+				t.Fatalf("accepted prefetch degree %d: more than the 16-entry SLWB can hold in flight", d)
+			}
 		}
 
 		apps, p := once.Apps, prefetchsim.Params{Procs: once.Procs, Scale: once.Scale, Seed: once.Seed}
