@@ -91,6 +91,7 @@ func startTestServerCache(t *testing.T, maxJobs int, cacheBytes int64) (*server,
 		t.Fatalf("open cache: %v", err)
 	}
 	s := newServer(store, 2, maxJobs)
+	s.version, s.sha = "test", "0123456789ab"
 	srv, err := webstatus.ServeOpts("127.0.0.1:0", s.status, webstatus.Options{
 		Register: s.register, Metrics: s.reg, OnScrape: s.sampleMemory, Ready: s.ready,
 	})
