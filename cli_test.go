@@ -21,9 +21,9 @@ type cliPin struct {
 	mode   string   // subtest name suffix telling apart pins of one command
 	args   []string // flags; the trailing app, if any, goes in apps
 	apps   []string
-	jobs   bool   // the command takes -j (and -http)
+	jobs   bool   // the command takes -j
 	stdout string // sha256 of stdout
-	stderr string // sha256 of stderr, minus the status-endpoint line
+	stderr string // sha256 of stderr
 	csv    string // sha256 of the -o file; "" when the run writes none
 	// digest is the manifest's rows_digest (stats_digest for a single
 	// prefetchsim run).
@@ -194,24 +194,16 @@ var cliPins = []cliPin{
 
 // TestCLIOutputPinned builds the four batch commands and runs each (and
 // every figure6 and tables mode) on a small fixed configuration with the manifest and metric totals on,
-// serially and across four workers with the status endpoint up. Their
-// stdout, stderr, CSV and manifest digests are pinned: the figures and
-// tables a reader regenerates must not drift byte-for-byte. -short
-// runs only the four-worker slice.
+// serially and across four workers. Their stdout, stderr, CSV and
+// manifest digests are pinned: the figures and tables a reader
+// regenerates must not drift byte-for-byte. -short runs only the
+// four-worker slice.
 func TestCLIOutputPinned(t *testing.T) {
-	bin := t.TempDir()
-	gocmd := filepath.Join(runtime.GOROOT(), "bin", "go")
-	args := []string{"build", "-o", bin + string(filepath.Separator)}
-	built := map[string]bool{}
+	var cmds []string
 	for _, p := range cliPins {
-		if !built[p.cmd] {
-			built[p.cmd] = true
-			args = append(args, "./cmd/"+p.cmd)
-		}
+		cmds = append(cmds, p.cmd)
 	}
-	if out, err := exec.Command(gocmd, args...).CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildCommands(t, cmds)
 
 	jobs := []int{1, 4}
 	if testing.Short() {
@@ -222,9 +214,6 @@ func TestCLIOutputPinned(t *testing.T) {
 			argv := append([]string(nil), p.args...)
 			if p.jobs {
 				argv = append(argv, "-j", strconv.Itoa(j))
-				if j > 1 {
-					argv = append(argv, "-http", "127.0.0.1:0")
-				}
 			} else if j > 1 {
 				continue
 			}
@@ -240,6 +229,90 @@ func TestCLIOutputPinned(t *testing.T) {
 	}
 }
 
+// buildCommands builds the named commands into a temporary directory
+// and returns it.
+func buildCommands(t *testing.T, cmds []string) string {
+	t.Helper()
+	bin := t.TempDir()
+	args := []string{"build", "-o", bin + string(filepath.Separator)}
+	built := map[string]bool{}
+	for _, c := range cmds {
+		if !built[c] {
+			built[c] = true
+			args = append(args, "./cmd/"+c)
+		}
+	}
+	gocmd := filepath.Join(runtime.GOROOT(), "bin", "go")
+	if out, err := exec.Command(gocmd, args...).CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
+}
+
+// TestCLIFailedConfigurations runs each batch command on one good and
+// one unknown application: the good rows still print, every stderr line
+// but sweep's metric totals names the command, the last one counts the
+// failures, the manifest is still written, and the command exits with
+// status 1.
+func TestCLIFailedConfigurations(t *testing.T) {
+	cases := []struct {
+		cmd  string
+		argv []string
+		last string // the final stderr line
+	}{
+		{"figure6", []string{"-procs", "4", "-j", "1", "-manifest", "m.json", "-metrics", "matmul", "nosuchapp"},
+			"figure6: 3 of 6 configurations failed"},
+		{"tables", []string{"-procs", "4", "-manifest", "m.json", "-metrics", "matmul", "nosuchapp"},
+			"tables: 1 of 2 configurations failed"},
+		{"sweep", []string{"-apps", "matmul,nosuchapp", "-schemes", "baseline,Seq", "-procs", "4", "-manifest", "m.json", "-metrics"},
+			"sweep: 2 of 4 configurations failed"},
+	}
+	var cmds []string
+	for _, c := range cases {
+		cmds = append(cmds, c.cmd)
+	}
+	bin := buildCommands(t, cmds)
+	for _, c := range cases {
+		t.Run(c.cmd, func(t *testing.T) {
+			dir := t.TempDir()
+			var stdout, stderr bytes.Buffer
+			cmd := exec.Command(filepath.Join(bin, c.cmd), c.argv...)
+			cmd.Dir = dir
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			err := cmd.Run()
+			if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+				t.Fatalf("exit: %v, want status 1\nstderr:\n%s", err, stderr.String())
+			}
+			lines := strings.Split(strings.TrimSuffix(stderr.String(), "\n"), "\n")
+			for _, l := range lines {
+				if l != "metric totals:" && !strings.HasPrefix(l, "  ") && !strings.HasPrefix(l, c.cmd+": ") {
+					t.Errorf("stderr line %q lacks the %q prefix", l, c.cmd+": ")
+				}
+			}
+			if got := lines[len(lines)-1]; got != c.last {
+				t.Errorf("last stderr line = %q, want %q", got, c.last)
+			}
+			out := stdout.String() + stderr.String()
+			if !strings.Contains(out, "Matmul") && !strings.Contains(out, "matmul") {
+				t.Errorf("the good application's rows are missing:\n%s", out)
+			}
+			if !strings.Contains(out, "metric totals:") {
+				t.Errorf("metric totals missing:\n%s", out)
+			}
+			data, err := os.ReadFile(filepath.Join(dir, "m.json"))
+			if err != nil {
+				t.Fatalf("manifest not written: %v", err)
+			}
+			var m struct {
+				Runs []json.RawMessage `json:"runs"`
+			}
+			if err := json.Unmarshal(data, &m); err != nil || len(m.Runs) == 0 {
+				t.Errorf("manifest has no runs (%v):\n%s", err, data)
+			}
+		})
+	}
+}
+
 func runPinned(t *testing.T, exe string, argv []string, p cliPin) {
 	dir := t.TempDir()
 	var stdout, stderr bytes.Buffer
@@ -249,12 +322,6 @@ func runPinned(t *testing.T, exe string, argv []string, p cliPin) {
 	if err := c.Run(); err != nil {
 		t.Fatalf("%s %s: %v\nstderr:\n%s", p.cmd, strings.Join(argv, " "), err, stderr.String())
 	}
-	var errLines []string
-	for _, l := range strings.SplitAfter(stderr.String(), "\n") {
-		if !strings.Contains(l, "status endpoint on") {
-			errLines = append(errLines, l)
-		}
-	}
 	check := func(what string, got []byte, want string) {
 		t.Helper()
 		if sum := sha256.Sum256(got); hex.EncodeToString(sum[:]) != want {
@@ -262,7 +329,7 @@ func runPinned(t *testing.T, exe string, argv []string, p cliPin) {
 		}
 	}
 	check("stdout", stdout.Bytes(), p.stdout)
-	check("stderr", []byte(strings.Join(errLines, "")), p.stderr)
+	check("stderr", stderr.Bytes(), p.stderr)
 	if p.csv != "" {
 		data, err := os.ReadFile(filepath.Join(dir, "out.csv"))
 		if err != nil {

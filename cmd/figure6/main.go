@@ -13,10 +13,10 @@
 //	figure6 -extensions -app lu
 //	figure6 -consistency mp3d ocean
 //	figure6 -stalls              # busy/read/write/sync stall decomposition
-//	figure6 -j 8 -manifest fig6.json -metrics -http :8080
+//	figure6 -j 8 -manifest fig6.json -metrics
 //
-// The -procs, -scale, -seed, -j, -manifest, -metrics and -http flags
-// are the batch commands' shared set (internal/batchcli).
+// The -procs, -scale, -seed, -j, -manifest and -metrics flags are the
+// batch commands' shared set (internal/batchcli).
 package main
 
 import (
@@ -99,7 +99,7 @@ func main() {
 	var fig6 []prefetchsim.Fig6Row
 	drawBars := *bars && spec.Kind == "figure6"
 	prev := ""
-	cli.ExitOn(cli.Execute(spec, func(r fmt.Stringer) {
+	cli.Execute(spec, func(r fmt.Stringer) {
 		if drawBars {
 			fig6 = append(fig6, r.(prefetchsim.Fig6Row))
 			return
@@ -116,7 +116,7 @@ func main() {
 		}
 		prev = app
 		fmt.Println(" ", r)
-	}))
+	})
 	if drawBars {
 		fmt.Print(prefetchsim.RenderBars(fig6))
 	}

@@ -7,7 +7,7 @@
 //
 //	prefetchd -http 127.0.0.1:8080 -cache-dir /var/cache/prefetchd
 //
-// API (plus webstatus's /status, /healthz, /readyz and /metrics):
+// API:
 //
 //	POST   /jobs            submit a spec; ?stream=1 streams NDJSON
 //	GET    /jobs            list live and recently settled jobs
@@ -15,6 +15,12 @@
 //	GET    /jobs/{id}/stream  replay + follow the job's NDJSON
 //	GET    /jobs/{id}/events  progress as server-sent events
 //	DELETE /jobs/{id}       cancel
+//	GET    / and /status    the service's JSON status snapshot
+//	GET    /healthz         liveness; /readyz: readiness (503 draining)
+//	GET    /metrics         Prometheus text exposition
+//
+// Any other path answers 404, and a known path with the wrong method
+// 405.
 //
 // The server remembers live jobs and the 1,024 most recent settled
 // ones; a settled job keeps only its record, and a replay reads its
@@ -42,7 +48,6 @@ import (
 
 	"prefetchsim/internal/obs"
 	"prefetchsim/internal/resultcache"
-	"prefetchsim/internal/webstatus"
 )
 
 // version identifies the build; override with
@@ -87,21 +92,15 @@ func main() {
 	s.version = version
 	s.sha = sha
 
-	srv, err := webstatus.ServeOpts(*httpAddr, s.status, webstatus.Options{
-		Register: s.register,
-		Metrics:  s.reg,
-		OnScrape: s.sampleMemory,
-		Ready:    s.ready,
-		Pprof:    *pprofOn,
-	})
+	srv, err := listen(*httpAddr, s, *pprofOn)
 	if err != nil {
 		logger.Error("listen", "addr", *httpAddr, "err", err)
 		os.Exit(1)
 	}
 	// The smoke script and tests parse this line for the bound address
 	// (meaningful with -http :0).
-	fmt.Printf("prefetchd: serving on http://%s\n", srv.Addr())
-	logger.Info("serving", "addr", srv.Addr(), "version", version,
+	fmt.Printf("prefetchd: serving on http://%s\n", srv.Addr)
+	logger.Info("serving", "addr", srv.Addr, "version", version,
 		"git_sha", sha, "pprof", *pprofOn, "max_jobs", *maxJobs)
 
 	sig := make(chan os.Signal, 1)
@@ -114,7 +113,7 @@ func main() {
 	// close the listener gracefully (in-flight status requests finish),
 	// then persist the cache index.
 	s.drain(*drainT)
-	ctx, cancel := context.WithTimeout(context.Background(), webstatus.CloseTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	if err := srv.Shutdown(ctx); err != nil {
 		logger.Warn("http shutdown", "err", err)
 	}

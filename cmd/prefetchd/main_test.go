@@ -15,7 +15,6 @@ import (
 
 	"prefetchsim"
 	"prefetchsim/internal/resultcache"
-	"prefetchsim/internal/webstatus"
 )
 
 func TestSpecNormalize(t *testing.T) {
@@ -92,9 +91,7 @@ func startTestServerCache(t *testing.T, maxJobs int, cacheBytes int64) (*server,
 	}
 	s := newServer(store, 2, maxJobs)
 	s.version, s.sha = "test", "0123456789ab"
-	srv, err := webstatus.ServeOpts("127.0.0.1:0", s.status, webstatus.Options{
-		Register: s.register, Metrics: s.reg, OnScrape: s.sampleMemory, Ready: s.ready,
-	})
+	srv, err := listen("127.0.0.1:0", s, false)
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
@@ -103,7 +100,7 @@ func startTestServerCache(t *testing.T, maxJobs int, cacheBytes int64) (*server,
 		srv.Close()
 		store.Close()
 	})
-	return s, "http://" + srv.Addr()
+	return s, "http://" + srv.Addr
 }
 
 // ndjson splits a streamed response into its job header, payload

@@ -19,10 +19,15 @@ func serveDirect(mux http.Handler, method, target, body string) *httptest.Respon
 	return w
 }
 
-func jobMux(s *server) *http.ServeMux {
-	mux := http.NewServeMux()
-	s.register(mux)
-	return mux
+// jobMux returns the routes listen serves for s, to call directly.
+func jobMux(t *testing.T, s *server) http.Handler {
+	t.Helper()
+	srv, err := listen("127.0.0.1:0", s, false)
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	return srv.Handler
 }
 
 // TestSettledJobsAreCompact submits one spec 20,000 times after its
@@ -32,7 +37,7 @@ func jobMux(s *server) *http.ServeMux {
 // byte-identically from the result cache.
 func TestSettledJobsAreCompact(t *testing.T) {
 	s, _ := startTestServer(t, 1)
-	mux := jobMux(s)
+	mux := jobMux(t, s)
 	const spec = `{"config":{"app":"listchase","scheme":"Seq","processors":4}}`
 	if _, _, done := parseStream(t, serveDirect(mux, "POST", "/jobs?stream=1", spec).Body.Bytes()); done.Cache != "miss" {
 		t.Fatalf("first submission: %+v, want a miss", done)
@@ -112,7 +117,7 @@ func (g *gatedWriter) Write(b []byte) (int, error) {
 // cached payload.
 func TestWatcherSeesWholePayloadAcrossSettle(t *testing.T) {
 	s, base := startTestServer(t, 1)
-	mux := jobMux(s)
+	mux := jobMux(t, s)
 	id := postJob(t, base, `{"kind":"figure6","apps":["matmul"],"schemes":["I-det","D-det","Seq"],"procs":4}`).ID
 	waitFor(t, "the first row", func() bool {
 		_, rec, _ := s.lookup(id)

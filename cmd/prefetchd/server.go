@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"cmp"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
+	"maps"
+	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"runtime/metrics"
 	"slices"
@@ -21,7 +25,6 @@ import (
 	"prefetchsim/internal/obs"
 	"prefetchsim/internal/resultcache"
 	"prefetchsim/internal/runner"
-	"prefetchsim/internal/webstatus"
 )
 
 // server owns the live-job table, the history of settled jobs, the
@@ -40,8 +43,8 @@ type server struct {
 
 	version, sha string // build info surfaced on /status
 
-	// reg binds every serving-path instrument; webstatus serves its
-	// Prometheus exposition at /metrics.
+	// reg binds every serving-path instrument; /metrics serves its
+	// Prometheus exposition.
 	reg *obs.Registry
 	// rm instruments the admission pipeline: queue depth, in-flight,
 	// and the wait/run latency histograms job spans reconcile against.
@@ -86,14 +89,43 @@ type server struct {
 	// aggMu guards agg, the per-class (cache disposition) span
 	// aggregate folded in as jobs settle.
 	aggMu sync.Mutex
-	agg   map[string]*classAgg
+	agg   map[string]jobSpanAgg
 }
 
-// classAgg accumulates settled jobs' span values for one cache class.
-// waitUS and runUS sum the exact values the runner histograms observed,
-// so per-class sums reconcile with those histograms by construction.
-type classAgg struct {
-	count, waitUS, runUS, totalUS int64
+// status is the /status snapshot of the service.
+type status struct {
+	// Tool is always "prefetchd".
+	Tool string `json:"tool"`
+	// Done counts jobs settled, Total jobs accepted and Rows the
+	// payload lines of every settled job.
+	Done  int `json:"done"`
+	Total int `json:"total"`
+	Rows  int `json:"rows"`
+	// Runs is always 0; it stays so the snapshot's bytes keep their
+	// shape.
+	Runs int `json:"runs"`
+	// Metrics holds job counts by state and the cache counters.
+	Metrics map[string]int64 `json:"metrics,omitempty"`
+	// JobSpans aggregates settled jobs' lifecycle spans per cache
+	// disposition: hit, miss, coalesced.
+	JobSpans map[string]jobSpanAgg `json:"job_spans,omitempty"`
+	// Version and GitSHA identify the serving build.
+	Version string `json:"version,omitempty"`
+	GitSHA  string `json:"git_sha,omitempty"`
+	// StartUnixNS and UptimeNS situate the snapshot in wall time.
+	StartUnixNS int64 `json:"start_unix_ns"`
+	UptimeNS    int64 `json:"uptime_ns"`
+}
+
+// jobSpanAgg sums one cache class's settled jobs' lifecycle spans.
+// WaitUS and RunUS sum the exact values the runner histograms observed,
+// so class sums reconcile with those histograms by construction;
+// TotalUS is the summed submit→done wall time.
+type jobSpanAgg struct {
+	Count   int64 `json:"count"`
+	WaitUS  int64 `json:"wait_us"`
+	RunUS   int64 `json:"run_us"`
+	TotalUS int64 `json:"total_us"`
 }
 
 func newServer(store *resultcache.Store, workers, maxJobs int) *server {
@@ -110,7 +142,7 @@ func newServer(store *resultcache.Store, workers, maxJobs int) *server {
 		reg:     reg,
 		rm:      new(runner.Metrics),
 		jobs:    make(map[string]*job),
-		agg:     make(map[string]*classAgg),
+		agg:     make(map[string]jobSpanAgg),
 	}
 	s.rm.Bind(reg, "runner")
 	s.cm.Bind(reg, "resultcache")
@@ -278,14 +310,11 @@ func (s *server) recordSettled(rec jobRecord) {
 	totalUS := (rec.Spans.DoneUnixNS - rec.Spans.SubmitUnixNS) / 1000
 	s.aggMu.Lock()
 	a := s.agg[class]
-	if a == nil {
-		a = new(classAgg)
-		s.agg[class] = a
-	}
-	a.count++
-	a.waitUS += rec.Spans.WaitUS
-	a.runUS += rec.Spans.RunUS
-	a.totalUS += totalUS
+	a.Count++
+	a.WaitUS += rec.Spans.WaitUS
+	a.RunUS += rec.Spans.RunUS
+	a.TotalUS += totalUS
+	s.agg[class] = a
 	s.aggMu.Unlock()
 	s.log.Info("job settled",
 		"job", rec.ID, "kind", rec.Kind, "digest", rec.Digest,
@@ -295,31 +324,10 @@ func (s *server) recordSettled(rec jobRecord) {
 }
 
 // spanAggs snapshots the per-class span aggregate for /status.
-func (s *server) spanAggs() map[string]webstatus.JobSpanAgg {
+func (s *server) spanAggs() map[string]jobSpanAgg {
 	s.aggMu.Lock()
 	defer s.aggMu.Unlock()
-	if len(s.agg) == 0 {
-		return nil
-	}
-	m := make(map[string]webstatus.JobSpanAgg, len(s.agg))
-	for class, a := range s.agg {
-		m[class] = webstatus.JobSpanAgg{
-			Count: a.count, WaitUS: a.waitUS, RunUS: a.runUS, TotalUS: a.totalUS,
-		}
-	}
-	return m
-}
-
-// ready backs /readyz: the server is ready once its cache index is
-// loaded (a *server only exists with an open store) and it is not
-// draining.
-func (s *server) ready() (bool, string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining {
-		return false, "draining"
-	}
-	return true, ""
+	return maps.Clone(s.agg)
 }
 
 // compute executes spec and returns the deterministic payload blob,
@@ -394,10 +402,10 @@ func (s *server) drain(timeout time.Duration) {
 	<-done
 }
 
-// status is the webstatus snapshot: cumulative job counts by state,
+// status is the /status snapshot: cumulative job counts by state,
 // cache counters, build info and the per-class job-span aggregate. It
 // reads counters only, never the jobs themselves.
-func (s *server) status() webstatus.Status {
+func (s *server) status() status {
 	s.mu.Lock()
 	total, finished, rows := s.seq, s.settled.added, s.rows
 	s.mu.Unlock()
@@ -414,7 +422,7 @@ func (s *server) status() webstatus.Status {
 	counts["cache.hits"] = s.hits.Value()
 	counts["cache.misses"] = s.misses.Value()
 	counts["cache.coalesced"] = s.coalesced.Value()
-	return webstatus.Status{
+	return status{
 		Tool: "prefetchd", Done: finished, Total: total, Rows: rows,
 		Metrics:     counts,
 		Version:     s.version,
@@ -442,15 +450,65 @@ func (s *server) sampleMemory() {
 	s.heap.Set(int64(sm[0].Value.Uint64() + sm[1].Value.Uint64()))
 }
 
-// register mounts the job API on the webstatus mux (which already
-// serves /status, /healthz and the telemetry surfaces).
-func (s *server) register(mux *http.ServeMux) {
+// listen binds addr (port 0 picks a free one) and serves s on it; the
+// returned server's Addr is the bound address. Routes: the job API,
+// "/" and "/status" (the JSON snapshot), "/healthz" (liveness, always
+// ok), "/readyz" (503 "draining" once draining begins), "/metrics"
+// (Prometheus text, gauges sampled at the scrape) and, with pprofOn,
+// net/http/pprof under "/debug/pprof/". Any other path answers 404
+// and a wrong method 405.
+func listen(addr string, s *server, pprofOn bool) (*http.Server, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	mux := http.NewServeMux()
 	mux.HandleFunc("POST /jobs", s.handleSubmit)
 	mux.HandleFunc("GET /jobs", s.handleList)
 	mux.HandleFunc("GET /jobs/{id}", s.handleGet)
 	mux.HandleFunc("DELETE /jobs/{id}", s.handleCancel)
 	mux.HandleFunc("GET /jobs/{id}/stream", s.handleStream)
 	mux.HandleFunc("GET /jobs/{id}/events", s.handleEvents)
+	mux.HandleFunc("GET /{$}", s.handleStatus)
+	mux.HandleFunc("GET /status", s.handleStatus)
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
+		fmt.Fprintln(w, "ok")
+	})
+	// Ready once the cache index is loaded (a *server only exists with
+	// an open store) and until draining begins.
+	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, _ *http.Request) {
+		s.mu.Lock()
+		draining := s.draining
+		s.mu.Unlock()
+		if draining {
+			http.Error(w, "draining", http.StatusServiceUnavailable)
+			return
+		}
+		fmt.Fprintln(w, "ok")
+	})
+	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", obs.PromContentType)
+		s.sampleMemory()
+		s.reg.WritePrometheus(w)
+	})
+	if pprofOn {
+		mux.HandleFunc("/debug/pprof/", pprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	}
+	srv := &http.Server{Addr: ln.Addr().String(), Handler: mux}
+	go srv.Serve(ln)
+	return srv, nil
+}
+
+// handleStatus writes the snapshot as indented JSON.
+func (s *server) handleStatus(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	enc.Encode(s.status())
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

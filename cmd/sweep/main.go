@@ -9,9 +9,11 @@
 //	sweep -apps mp3d -schemes baseline,Seq -slc 0,16384 -degrees 1,2,4 -j 8
 //	sweep -apps lu -schemes baseline,Seq -manifest sweep.json -metrics
 //
-// The -procs, -scale, -seed, -j, -manifest, -metrics and -http flags
-// are the batch commands' shared set (internal/batchcli); sweep prints
-// its metric totals on stderr, keeping stdout free for the CSV.
+// The -procs, -scale, -seed, -j, -manifest and -metrics flags are the
+// batch commands' shared set (internal/batchcli); sweep prints its
+// metric totals on stderr, keeping stdout free for the CSV. A failed
+// configuration is reported on stderr and skipped; the remaining rows
+// are still written, and sweep then exits with status 1.
 package main
 
 import (
@@ -27,32 +29,21 @@ import (
 	"prefetchsim/internal/prof"
 )
 
-// sweep runs a sweep spec through execute and writes its CSV to w. A
-// failed configuration is reported on errw and skipped; the remaining
-// rows are still written. It returns the number of data rows written
-// and the number of failed configurations.
-func sweep(spec prefetchsim.Spec, execute func(prefetchsim.Spec, func(fmt.Stringer)) error, w, errw io.Writer) (rows, failed int, err error) {
+// sweep runs a sweep spec through execute and writes its CSV to w,
+// returning the number of data rows written. The header waits in the
+// CSV writer's buffer until the end, so a spec execute rejects outright
+// leaves w empty.
+func sweep(spec prefetchsim.Spec, execute func(prefetchsim.Spec, func(fmt.Stringer)), w io.Writer) (rows int, err error) {
 	cw := csv.NewWriter(w)
 	if err := cw.Write(prefetchsim.SweepColumns()); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
-	runErr := execute(spec, func(r fmt.Stringer) {
+	execute(spec, func(r fmt.Stringer) {
 		_ = cw.Write(r.(prefetchsim.SweepRow)) // a write error sticks; cw.Error reports it after Flush
 		rows++
 	})
-	// Every failure is one configuration's ("app/scheme: why").
-	if runErr != nil {
-		errs := []error{runErr}
-		if j, ok := runErr.(interface{ Unwrap() []error }); ok {
-			errs = j.Unwrap()
-		}
-		for _, e := range errs {
-			fmt.Fprintf(errw, "sweep: %v\n", e)
-		}
-		failed = len(errs)
-	}
 	cw.Flush()
-	return rows, failed, cw.Error()
+	return rows, cw.Error()
 }
 
 func main() {
@@ -84,11 +75,8 @@ func main() {
 	spec.Apps, spec.Schemes = splitTrim[string](*apps), splitTrim[prefetchsim.Scheme](*schemes)
 	spec.Degrees, spec.SLCs = cli.Ints(*degrees), cli.Ints(*slcs)
 	spec.Ways, spec.Bandwidths = []int{*ways}, []int{*bw}
-	// A spec the sweep cannot run at all is not a failed configuration.
-	spec, err := spec.Normalize()
-	cli.ExitOn(err)
 
-	rows, failed, err := sweep(spec, cli.Execute, w, os.Stderr)
+	rows, err := sweep(spec, cli.Execute, w)
 	cli.ExitOn(err)
 	cli.ExitOn(pf.Stop())
 	if f != nil {
@@ -96,10 +84,6 @@ func main() {
 		fmt.Printf("wrote %d rows to %s\n", rows, *out)
 	}
 	cli.Finish(os.Stderr)
-	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "sweep: %d of %d configurations failed\n", failed, rows+failed)
-		os.Exit(1)
-	}
 }
 
 func splitTrim[T ~string](csvList string) []T {

@@ -23,11 +23,17 @@ func testSpec() prefetchsim.Spec {
 }
 
 // execute runs a spec as the command does, on workers goroutines with
-// rec (which may be nil) recording its simulations.
-func execute(workers int, rec *prefetchsim.ManifestRecorder) func(prefetchsim.Spec, func(fmt.Stringer)) error {
-	return func(s prefetchsim.Spec, sink func(fmt.Stringer)) error {
+// rec (which may be nil) recording its simulations; the failed
+// configurations' errors land in *errs.
+func execute(workers int, rec *prefetchsim.ManifestRecorder, errs *[]error) func(prefetchsim.Spec, func(fmt.Stringer)) {
+	return func(s prefetchsim.Spec, sink func(fmt.Stringer)) {
 		o := prefetchsim.ExpOptions{Workers: workers, Record: rec}
-		return s.Execute(o, func(_, _ int, r fmt.Stringer) { sink(r) })
+		err := s.Execute(o, func(_, _ int, r fmt.Stringer) { sink(r) })
+		if j, ok := err.(interface{ Unwrap() []error }); ok {
+			*errs = j.Unwrap()
+		} else if err != nil {
+			*errs = []error{err}
+		}
 	}
 }
 
@@ -35,14 +41,15 @@ func execute(workers int, rec *prefetchsim.ManifestRecorder) func(prefetchsim.Sp
 // back: the header must match, every row must have exactly one field
 // per header column, and every numeric column must parse.
 func TestSweepCSVRoundTrip(t *testing.T) {
-	var out, errs bytes.Buffer
+	var out bytes.Buffer
+	var errs []error
 	rec := &prefetchsim.ManifestRecorder{}
-	rows, failed, err := sweep(testSpec(), execute(4, rec), &out, &errs)
+	rows, err := sweep(testSpec(), execute(4, rec, &errs), &out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if failed != 0 {
-		t.Fatalf("%d configurations failed: %s", failed, errs.String())
+	if len(errs) != 0 {
+		t.Fatalf("%d configurations failed: %v", len(errs), errs)
 	}
 	// baseline collapses the degree axis to 1: per SLC size the rows are
 	// baseline + Seq-d1 + Seq-d2.
@@ -92,19 +99,22 @@ func TestSweepBadAppCompletesRest(t *testing.T) {
 	s.Apps = []string{"nosuchapp", "matmul"}
 	s.Degrees = []int{1}
 	s.SLCs = []int{0}
-	var out, errs bytes.Buffer
-	rows, failed, err := sweep(s, execute(4, nil), &out, &errs)
+	var out bytes.Buffer
+	var errs []error
+	rows, err := sweep(s, execute(4, nil, &errs), &out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if failed != 2 { // baseline + Seq for the unknown app
-		t.Fatalf("failed = %d, want 2; stderr: %s", failed, errs.String())
+	if len(errs) != 2 { // baseline + Seq for the unknown app
+		t.Fatalf("failed = %d, want 2: %v", len(errs), errs)
 	}
 	if rows != 2 { // baseline + Seq for matmul
 		t.Fatalf("rows = %d, want 2", rows)
 	}
-	if !strings.Contains(errs.String(), "nosuchapp") {
-		t.Fatalf("stderr does not name the failing app: %q", errs.String())
+	for _, e := range errs {
+		if !strings.Contains(e.Error(), "nosuchapp") {
+			t.Fatalf("error does not name the failing app: %v", e)
+		}
 	}
 	// The app column carries the program's self-reported name
 	// ("Matmul-LxMxN"), as in the serial sweep.
@@ -121,11 +131,15 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	}
 	s := testSpec()
 	var serial, parallel bytes.Buffer
-	if _, _, err := sweep(s, execute(1, nil), &serial, &bytes.Buffer{}); err != nil {
+	var errs []error
+	if _, err := sweep(s, execute(1, nil, &errs), &serial); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := sweep(s, execute(8, nil), &parallel, &bytes.Buffer{}); err != nil {
+	if _, err := sweep(s, execute(8, nil, &errs), &parallel); err != nil {
 		t.Fatal(err)
+	}
+	if len(errs) != 0 {
+		t.Fatalf("configurations failed: %v", errs)
 	}
 	if !bytes.Equal(serial.Bytes(), parallel.Bytes()) {
 		t.Fatal("parallel sweep CSV differs from serial sweep CSV")

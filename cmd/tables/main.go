@@ -9,8 +9,8 @@
 //	tables -table 4            # larger-data-set trends
 //	tables -table 3 -j 4 -manifest t3.json -metrics lu ocean
 //
-// The -procs, -scale, -seed, -j, -manifest, -metrics and -http flags
-// are the batch commands' shared set (internal/batchcli).
+// The -procs, -scale, -seed, -j, -manifest and -metrics flags are the
+// batch commands' shared set (internal/batchcli).
 package main
 
 import (
@@ -38,8 +38,8 @@ func main() {
 		os.Exit(2)
 	}
 	fmt.Println(title)
-	cli.ExitOn(cli.Execute(cli.Spec(fmt.Sprintf("table%d", *table)), func(r fmt.Stringer) {
+	cli.Execute(cli.Spec(fmt.Sprintf("table%d", *table)), func(r fmt.Stringer) {
 		fmt.Println(" ", r)
-	}))
+	})
 	cli.Finish(os.Stdout)
 }

@@ -1,7 +1,10 @@
 // Package batchcli declares the flags the batch commands (figure6,
 // tables and sweep) share, seeds the prefetchsim.Spec each command
 // parses its flags into, and runs that spec with the plumbing behind
-// the shared flags:
+// the shared flags. A failed configuration does not stop the others:
+// each failure is one stderr line prefixed with the command's name, the
+// totals and manifest still cover every row, and the command then
+// exits with status 1.
 //
 //	-procs N      processor count (default 16, the paper's)
 //	-scale N      data-set scale (default 1, the paper's inputs)
@@ -10,8 +13,6 @@
 //	              1 = serial); the rows are identical for every -j
 //	-manifest F   write the sweep's provenance manifest (JSON) to F
 //	-metrics      print sweep-wide metric totals
-//	-http ADDR    serve a live JSON status endpoint on ADDR while the
-//	              simulations run (internal/webstatus)
 package batchcli
 
 import (
@@ -26,11 +27,10 @@ import (
 
 	"prefetchsim"
 	"prefetchsim/internal/apps/workload"
-	"prefetchsim/internal/webstatus"
 )
 
 // Flags holds one command's shared flag values and, once Execute has
-// run, the manifest recorder and status endpoint they asked for.
+// run, the manifest recorder they asked for and the run's outcome.
 type Flags struct {
 	tool     string
 	procs    int
@@ -39,12 +39,11 @@ type Flags struct {
 	workers  int
 	manifest string
 	metrics  bool
-	httpAddr string
 
 	rec      *prefetchsim.ManifestRecorder
-	srv      *webstatus.Server
 	start    time.Time
 	rendered []string // the rows' text, for the manifest's digest
+	failed   int      // configurations that failed
 }
 
 // Register declares the shared flags on the default flag set for the
@@ -57,7 +56,6 @@ func Register(tool string) *Flags {
 	flag.IntVar(&f.workers, "j", 0, "simulations to run concurrently (0 = all cores, 1 = serial)")
 	flag.StringVar(&f.manifest, "manifest", "", "write the sweep's provenance manifest (JSON) to this file")
 	flag.BoolVar(&f.metrics, "metrics", false, "print sweep-wide metric totals")
-	flag.StringVar(&f.httpAddr, "http", "", "serve a live JSON status endpoint on this address while the simulations run")
 	return f
 }
 
@@ -68,42 +66,41 @@ func (f *Flags) Spec(kind string) prefetchsim.Spec {
 	return prefetchsim.Spec{Kind: kind, Apps: flag.Args(), Procs: f.procs, Scale: f.scale, Seed: f.seed}
 }
 
-// Execute runs spec on -j workers and hands each row to sink in order.
-// It attaches a manifest recorder when -manifest, -metrics or -http
-// needs one and serves the -http status endpoint while the spec runs.
-func (f *Flags) Execute(spec prefetchsim.Spec, sink func(row fmt.Stringer)) error {
+// Execute runs spec on -j workers and hands each row to sink in order,
+// attaching a manifest recorder when -manifest or -metrics needs one.
+// A spec that cannot run at all exits at once. Each configuration that
+// fails is reported on stderr and counted for Finish; the rows of the
+// others still reach sink.
+func (f *Flags) Execute(spec prefetchsim.Spec, sink func(row fmt.Stringer)) {
+	spec, err := spec.Normalize()
+	f.ExitOn(err)
 	opt := prefetchsim.ExpOptions{Workers: f.workers}
-	if f.manifest != "" || f.metrics || f.httpAddr != "" {
+	if f.manifest != "" || f.metrics {
 		f.rec = &prefetchsim.ManifestRecorder{}
 		opt.Record = f.rec
 	}
-	if f.httpAddr != "" {
-		var prog webstatus.Progress
-		opt.Progress = prog.Set
-		srv, err := webstatus.Serve(f.httpAddr, func() webstatus.Status {
-			done, total := prog.Snapshot()
-			runs, totals := f.rec.Status()
-			return webstatus.Status{
-				Tool: f.tool, Done: done, Total: total,
-				Rows: done, Runs: runs, Metrics: totals,
-			}
-		})
-		if err != nil {
-			return err
-		}
-		f.srv = srv
-		fmt.Fprintf(os.Stderr, "%s: status endpoint on http://%s/status\n", f.tool, srv.Addr())
-	}
 	f.start = time.Now()
-	return spec.Execute(opt, func(_, _ int, row fmt.Stringer) {
+	err = spec.Execute(opt, func(_, _ int, row fmt.Stringer) {
 		f.rendered = append(f.rendered, row.String())
 		sink(row)
 	})
+	if err == nil {
+		return
+	}
+	errs := []error{err}
+	if j, ok := err.(interface{ Unwrap() []error }); ok {
+		errs = j.Unwrap()
+	}
+	for _, e := range errs {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", f.tool, e)
+	}
+	f.failed = len(errs)
 }
 
-// Finish prints the metric totals to totals when -metrics is set,
+// Finish prints the metric totals to totals when -metrics is set and
 // writes the sweep manifest of the rows Execute handed over when
-// -manifest is set, and stops the status endpoint.
+// -manifest is set. If any configuration failed, it then says how many
+// and exits with status 1.
 func (f *Flags) Finish(totals io.Writer) {
 	if f.metrics {
 		printTotals(totals, f.rec.Totals())
@@ -113,8 +110,9 @@ func (f *Flags) Finish(totals io.Writer) {
 		f.ExitOn(sm.WriteFile(f.manifest))
 		fmt.Printf("manifest: %s (%d runs, rows digest %s)\n", f.manifest, len(sm.Runs), sm.RowsDigest)
 	}
-	if f.srv != nil {
-		f.srv.Close()
+	if f.failed > 0 {
+		fmt.Fprintf(os.Stderr, "%s: %d of %d configurations failed\n", f.tool, f.failed, len(f.rendered)+f.failed)
+		os.Exit(1)
 	}
 }
 

@@ -125,23 +125,15 @@ func (r *ManifestRecorder) Runs() []Manifest {
 // sweep-wide metric snapshot that may be read while the sweep is still
 // running.
 func (r *ManifestRecorder) Totals() map[string]int64 {
-	_, totals := r.Status()
-	return totals
-}
-
-// Status returns the completed-run count and the summed metric totals
-// in one lock acquisition — the payload a live status endpoint polls
-// while a sweep is running (see cmd/sweep's -http flag).
-func (r *ManifestRecorder) Status() (runs int, totals map[string]int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	totals = make(map[string]int64)
+	totals := make(map[string]int64)
 	for i := range r.runs {
 		for k, v := range r.runs[i].Metrics {
 			totals[k] += v
 		}
 	}
-	return len(r.runs), totals
+	return totals
 }
 
 // Sweep wraps the recorded runs into one sweep manifest for the given

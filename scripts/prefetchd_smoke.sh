@@ -6,6 +6,8 @@
 # promises:
 #
 #   - the server reports ready on /readyz before any traffic is sent,
+#   - the route table is closed: an unknown path answers 404 and a
+#     known path with the wrong method 405,
 #   - the first submission computes (done line says cache "miss"),
 #   - the second is served from the cache (done line says "hit"),
 #   - the row lines of both NDJSON transcripts are byte-identical,
@@ -77,6 +79,13 @@ echo "   serving on $addr (ready)"
 echo "== build info"
 "$work/prefetchd" -version | grep -q '^prefetchd ' || die "-version output malformed"
 ctl status | grep -q '"version"' || die "/status lacks the version field"
+
+echo "== route table"
+http_code() { # method path
+  curl -sS -o /dev/null -w '%{http_code}' -X "$1" "http://$addr$2"
+}
+[[ "$(http_code GET /nope)" == 404 ]] || die "GET /nope: $(http_code GET /nope), want 404"
+[[ "$(http_code DELETE /jobs)" == 405 ]] || die "DELETE /jobs: $(http_code DELETE /jobs), want 405"
 
 job=(submit -figure6 -apps lu -schemes Seq -procs 4 -stream)
 done_field() { # file field
