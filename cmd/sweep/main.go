@@ -11,9 +11,10 @@
 //
 // The -procs, -scale, -seed, -j, -manifest and -metrics flags are the
 // batch commands' shared set (internal/batchcli); sweep prints its
-// metric totals on stderr, keeping stdout free for the CSV. A failed
-// configuration is reported on stderr and skipped; the remaining rows
-// are still written, and sweep then exits with status 1.
+// metric totals and the manifest line on stderr, keeping stdout free
+// for the CSV. A failed configuration is reported on stderr and
+// skipped; the remaining rows are still written, and sweep then exits
+// with status 1.
 package main
 
 import (

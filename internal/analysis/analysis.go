@@ -28,8 +28,9 @@ type Miss struct {
 	Block mem.Block
 }
 
-// Collector gathers one processor's miss stream via the machine's
-// MissObserver hook.
+// Collector stores one processor's miss stream via the machine's
+// MissObserver hook, for callers that want the stream itself; Tracker
+// analyzes it without storing it.
 type Collector struct {
 	// Node selects the processor to observe (the paper uses one
 	// processor, "which has been shown to be representative").
@@ -123,74 +124,170 @@ func (r Result) String() string {
 	return b.String()
 }
 
-// Analyze computes the stride-sequence statistics of a miss stream.
-// Misses from each load instruction are examined in order; maximal runs
-// of at least MinRun equidistant block addresses (nonzero stride) form
-// stride sequences.
-func Analyze(misses []Miss) Result {
-	r := Result{TotalMisses: len(misses), hist: make(map[int64]int)}
+// Tracker analyzes a miss stream online, one miss at a time, without
+// storing it. Misses from each load instruction are examined in order;
+// maximal runs of at least MinRun equidistant block addresses (nonzero
+// stride) form stride sequences. Per load site it keeps only the run in
+// progress and the site's totals, so a stream of any length costs
+// O(sites).
+type Tracker struct {
+	// Node selects the processor Observe follows (the paper uses one
+	// processor, "which has been shown to be representative").
+	Node  int
+	sites map[trace.PC]*site
+}
 
-	byPC := make(map[trace.PC][]mem.Block)
-	var order []trace.PC
-	for _, m := range misses {
-		if _, ok := byPC[m.PC]; !ok {
-			order = append(order, m.PC)
-		}
-		byPC[m.PC] = append(byPC[m.PC], m.Block)
+// site is one load instruction's run in progress and totals.
+type site struct {
+	prev   mem.Block // the run's last block
+	stride int64     // the run's stride; 0 while it holds one block
+	n      int       // blocks in the run
+
+	// The site's totals; all but misses count closed runs only.
+	misses, strideMisses, sequences, sumSeqLen int
+
+	hist map[int64]int // |stride| in blocks → misses, closed runs only
+}
+
+// Observe is a machine.Config.MissObserver.
+func (t *Tracker) Observe(node int, pc trace.PC, addr mem.Addr) {
+	if node == t.Node {
+		t.Add(pc, mem.BlockOf(addr))
 	}
+}
 
-	for _, pc := range order {
-		blocks := byPC[pc]
-		i := 0
-		for i+1 < len(blocks) {
-			stride := int64(blocks[i+1]) - int64(blocks[i])
-			if stride == 0 {
-				i++
-				continue
-			}
-			j := i + 1
-			for j+1 < len(blocks) && int64(blocks[j+1])-int64(blocks[j]) == stride {
-				j++
-			}
-			runLen := j - i + 1
-			if runLen >= MinRun {
-				r.StrideMisses += runLen
-				r.Sequences++
-				r.sumSeqLen += runLen
-				abs := stride
-				if abs < 0 {
-					abs = -abs
-				}
-				r.hist[abs] += runLen
-			}
-			i = j
+// Add feeds one miss of load instruction pc on block b.
+func (t *Tracker) Add(pc trace.PC, b mem.Block) {
+	s := t.sites[pc]
+	if s == nil {
+		if t.sites == nil {
+			t.sites = make(map[trace.PC]*site)
 		}
+		t.sites[pc] = &site{prev: b, n: 1, misses: 1}
+		return
+	}
+	s.misses++
+	switch d := int64(b) - int64(s.prev); {
+	case d == 0: // a zero stride drops the earlier block
+		s.close()
+		s.stride, s.n = 0, 1
+	case s.stride == 0: // the run's second block sets its stride
+		s.stride, s.n = d, 2
+	case d == s.stride:
+		s.n++
+	default: // the run breaks and hands its last block to the next run
+		s.close()
+		s.stride, s.n = d, 2
+	}
+	s.prev = b
+}
+
+// close ends the run in progress, counting it if it is a sequence.
+func (s *site) close() {
+	if s.n < MinRun {
+		return
+	}
+	if s.hist == nil {
+		s.hist = make(map[int64]int)
+	}
+	s.strideMisses += s.n
+	s.sequences++
+	s.sumSeqLen += s.n
+	s.hist[abs(s.stride)] += s.n
+}
+
+// addTo adds the site's totals to r, counting the run in progress as
+// if the stream ended here.
+func (s *site) addTo(r *Result) {
+	r.TotalMisses += s.misses
+	r.StrideMisses += s.strideMisses
+	r.Sequences += s.sequences
+	r.sumSeqLen += s.sumSeqLen
+	for st, c := range s.hist {
+		r.hist[st] += c
+	}
+	if s.n >= MinRun {
+		r.StrideMisses += s.n
+		r.Sequences++
+		r.sumSeqLen += s.n
+		r.hist[abs(s.stride)] += s.n
+	}
+}
+
+func abs(x int64) int64 {
+	if x < 0 {
+		return -x
+	}
+	return x
+}
+
+// Result summarizes the stream fed so far; the runs in progress count
+// as if it ended here, and feeding may go on.
+func (t *Tracker) Result() Result {
+	r := Result{hist: make(map[int64]int)}
+	for _, s := range t.sites {
+		s.addTo(&r)
 	}
 	return r
 }
 
-// MultiCollector gathers every processor's miss stream, for the §5.1
+// Sites summarizes the stream fed so far per load site, ordered by
+// descending miss count.
+func (t *Tracker) Sites() []SiteStat {
+	out := make([]SiteStat, 0, len(t.sites))
+	for pc, s := range t.sites {
+		r := Result{hist: make(map[int64]int)}
+		s.addTo(&r)
+		st := SiteStat{PC: pc, Misses: r.TotalMisses, StrideMisses: r.StrideMisses}
+		if d := r.Dominant(); d.Share > 0 {
+			st.Dominant = d.Stride
+		}
+		out = append(out, st)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Misses != out[j].Misses {
+			return out[i].Misses > out[j].Misses
+		}
+		return out[i].PC < out[j].PC
+	})
+	return out
+}
+
+// Analyze computes the stride-sequence statistics of a stored miss
+// stream.
+func Analyze(misses []Miss) Result { return track(misses).Result() }
+
+// track feeds a stored miss stream to a new Tracker.
+func track(misses []Miss) *Tracker {
+	t := new(Tracker)
+	for _, m := range misses {
+		t.Add(m.PC, m.Block)
+	}
+	return t
+}
+
+// MultiCollector analyzes every processor's miss stream, for the §5.1
 // representativeness check (the paper analyzes one processor, "which
 // has been shown to be representative").
 type MultiCollector struct {
-	misses [][]Miss
+	nodes []Tracker
 }
 
 // NewMultiCollector returns a collector for nodes processors.
 func NewMultiCollector(nodes int) *MultiCollector {
-	return &MultiCollector{misses: make([][]Miss, nodes)}
+	return &MultiCollector{nodes: make([]Tracker, nodes)}
 }
 
 // Observe is a machine.Config.MissObserver.
 func (c *MultiCollector) Observe(node int, pc trace.PC, addr mem.Addr) {
-	c.misses[node] = append(c.misses[node], Miss{PC: pc, Block: mem.BlockOf(addr)})
+	c.nodes[node].Add(pc, mem.BlockOf(addr))
 }
 
 // Results analyzes every processor's stream.
 func (c *MultiCollector) Results() []Result {
-	out := make([]Result, len(c.misses))
-	for i, m := range c.misses {
-		out[i] = Analyze(m)
+	out := make([]Result, len(c.nodes))
+	for i := range c.nodes {
+		out[i] = c.nodes[i].Result()
 	}
 	return out
 }
@@ -208,31 +305,6 @@ type SiteStat struct {
 	Dominant int64
 }
 
-// BySite groups a miss stream per load site, ordered by descending miss
-// count.
-func BySite(misses []Miss) []SiteStat {
-	byPC := make(map[trace.PC][]Miss)
-	var order []trace.PC
-	for _, m := range misses {
-		if _, ok := byPC[m.PC]; !ok {
-			order = append(order, m.PC)
-		}
-		byPC[m.PC] = append(byPC[m.PC], m)
-	}
-	out := make([]SiteStat, 0, len(order))
-	for _, pc := range order {
-		r := Analyze(byPC[pc])
-		st := SiteStat{PC: pc, Misses: r.TotalMisses, StrideMisses: r.StrideMisses}
-		if d := r.Dominant(); d.Share > 0 {
-			st.Dominant = d.Stride
-		}
-		out = append(out, st)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Misses != out[j].Misses {
-			return out[i].Misses > out[j].Misses
-		}
-		return out[i].PC < out[j].PC
-	})
-	return out
-}
+// BySite groups a stored miss stream per load site, ordered by
+// descending miss count.
+func BySite(misses []Miss) []SiteStat { return track(misses).Sites() }

@@ -2,6 +2,8 @@ package analysis
 
 import (
 	"math"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -193,5 +195,164 @@ func TestBySiteGroupsAndOrders(t *testing.T) {
 func TestBySiteEmpty(t *testing.T) {
 	if got := BySite(nil); len(got) != 0 {
 		t.Fatalf("BySite(nil) = %v", got)
+	}
+}
+
+// batchAnalyze is the reference the online Tracker must reproduce: it
+// groups the stored stream per load site and scans each site's blocks
+// for maximal equidistant runs.
+func batchAnalyze(misses []Miss) Result {
+	r := Result{TotalMisses: len(misses), hist: make(map[int64]int)}
+
+	byPC := make(map[trace.PC][]mem.Block)
+	var order []trace.PC
+	for _, m := range misses {
+		if _, ok := byPC[m.PC]; !ok {
+			order = append(order, m.PC)
+		}
+		byPC[m.PC] = append(byPC[m.PC], m.Block)
+	}
+
+	for _, pc := range order {
+		blocks := byPC[pc]
+		i := 0
+		for i+1 < len(blocks) {
+			stride := int64(blocks[i+1]) - int64(blocks[i])
+			if stride == 0 {
+				i++
+				continue
+			}
+			j := i + 1
+			for j+1 < len(blocks) && int64(blocks[j+1])-int64(blocks[j]) == stride {
+				j++
+			}
+			runLen := j - i + 1
+			if runLen >= MinRun {
+				r.StrideMisses += runLen
+				r.Sequences++
+				r.sumSeqLen += runLen
+				abs := stride
+				if abs < 0 {
+					abs = -abs
+				}
+				r.hist[abs] += runLen
+			}
+			i = j
+		}
+	}
+	return r
+}
+
+// batchBySite is the per-site reference: batchAnalyze on each site's
+// misses.
+func batchBySite(misses []Miss) []SiteStat {
+	byPC := make(map[trace.PC][]Miss)
+	var order []trace.PC
+	for _, m := range misses {
+		if _, ok := byPC[m.PC]; !ok {
+			order = append(order, m.PC)
+		}
+		byPC[m.PC] = append(byPC[m.PC], m)
+	}
+	out := make([]SiteStat, 0, len(order))
+	for _, pc := range order {
+		r := batchAnalyze(byPC[pc])
+		st := SiteStat{PC: pc, Misses: r.TotalMisses, StrideMisses: r.StrideMisses}
+		if d := r.Dominant(); d.Share > 0 {
+			st.Dominant = d.Stride
+		}
+		out = append(out, st)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Misses != out[j].Misses {
+			return out[i].Misses > out[j].Misses
+		}
+		return out[i].PC < out[j].PC
+	})
+	return out
+}
+
+// fuzzMisses decodes a miss stream over four load sites. Each pair of
+// bytes is one step: the first byte's low two bits pick the site, its
+// top bit makes the second byte an absolute block, and otherwise the
+// second byte is a signed stride in -16..15 repeated one to four times
+// (bits 2–3), so zero, negative and repeating strides and runs that
+// share a boundary block are all common.
+func fuzzMisses(data []byte) []Miss {
+	var last [4]int64
+	for i := range last {
+		last[i] = 1000 * int64(i+1)
+	}
+	var out []Miss
+	for i := 0; i+1 < len(data); i += 2 {
+		op, v := data[i], data[i+1]
+		pc := op & 3
+		if op&0x80 != 0 {
+			last[pc] = int64(v)
+			out = append(out, Miss{PC: trace.PC(pc), Block: mem.Block(last[pc])})
+			continue
+		}
+		stride := int64(int8(v)) >> 3
+		for k := 0; k <= int(op>>2&3); k++ {
+			last[pc] += stride
+			out = append(out, Miss{PC: trace.PC(pc), Block: mem.Block(last[pc])})
+		}
+	}
+	return out
+}
+
+// FuzzTrackerVsBatch feeds random miss streams to the online Tracker
+// and to the batch reference: both must give the same Result and Sites,
+// at the end of the stream and halfway through it (reading a Result
+// must not disturb the runs in progress). Its seed corpus is in
+// testdata/fuzz/FuzzTrackerVsBatch.
+func FuzzTrackerVsBatch(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		misses := fuzzMisses(data)
+		var tr Tracker
+		half := len(misses) / 2
+		for i, m := range misses {
+			if i == half {
+				checkAgainstBatch(t, "halfway", &tr, misses[:half])
+			}
+			tr.Add(m.PC, m.Block)
+		}
+		checkAgainstBatch(t, "at the end", &tr, misses)
+	})
+}
+
+func checkAgainstBatch(t *testing.T, when string, tr *Tracker, misses []Miss) {
+	t.Helper()
+	if got, want := tr.Result(), batchAnalyze(misses); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: Result = %+v, batch %+v\nmisses %v", when, got, want, misses)
+	}
+	if got, want := tr.Sites(), batchBySite(misses); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: Sites = %+v, batch %+v\nmisses %v", when, got, want, misses)
+	}
+}
+
+// TestObserveAllocatesNothing pins the tracker's memory property: once a
+// site and its strides are known, a miss costs no allocation, so a run
+// of any length costs O(sites), not O(misses).
+func TestObserveAllocatesNothing(t *testing.T) {
+	tr := &Tracker{Node: 0}
+	base := mem.Addr(1 << 20)
+	burst := func() {
+		// A stride-2 sequence of four blocks, then a jump: every burst
+		// closes one sequence and opens the next.
+		for k := mem.Addr(0); k < 4; k++ {
+			tr.Observe(0, 7, base+2*k*32)
+		}
+		tr.Observe(1, 7, base) // another node's miss is ignored
+		base += 100 * 32
+	}
+	burst()
+	burst()
+	if allocs := testing.AllocsPerRun(1000, burst); allocs != 0 {
+		t.Fatalf("Observe allocated %v times per burst, want 0", allocs)
+	}
+	r := tr.Result()
+	if r.TotalMisses != 4*1003 || r.Sequences != 1003 || r.Dominant().Stride != 2 {
+		t.Fatalf("result after the bursts = %+v", r)
 	}
 }

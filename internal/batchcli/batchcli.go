@@ -99,8 +99,9 @@ func (f *Flags) Execute(spec prefetchsim.Spec, sink func(row fmt.Stringer)) {
 
 // Finish prints the metric totals to totals when -metrics is set and
 // writes the sweep manifest of the rows Execute handed over when
-// -manifest is set. If any configuration failed, it then says how many
-// and exits with status 1.
+// -manifest is set, naming it on stderr so stdout keeps only the rows.
+// If any configuration failed, it then says how many and exits with
+// status 1.
 func (f *Flags) Finish(totals io.Writer) {
 	if f.metrics {
 		printTotals(totals, f.rec.Totals())
@@ -108,7 +109,7 @@ func (f *Flags) Finish(totals io.Writer) {
 	if f.manifest != "" {
 		sm := f.rec.Sweep(f.tool, os.Args[1:], f.rendered, time.Since(f.start))
 		f.ExitOn(sm.WriteFile(f.manifest))
-		fmt.Printf("manifest: %s (%d runs, rows digest %s)\n", f.manifest, len(sm.Runs), sm.RowsDigest)
+		fmt.Fprintf(os.Stderr, "%s: manifest: %s (%d runs, rows digest %s)\n", f.tool, f.manifest, len(sm.Runs), sm.RowsDigest)
 	}
 	if f.failed > 0 {
 		fmt.Fprintf(os.Stderr, "%s: %d of %d configurations failed\n", f.tool, f.failed, len(f.rendered)+f.failed)

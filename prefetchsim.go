@@ -206,8 +206,8 @@ type Config struct {
 	// provide their own tables.
 	StrideHints map[PC]int64
 
-	// CollectCharacteristics records processor 0's miss stream and
-	// attaches the Table 2/3 analysis to the result.
+	// CollectCharacteristics analyzes processor 0's miss stream as it
+	// happens and attaches the Table 2/3 analysis to the result.
 	CollectCharacteristics bool
 
 	// CollectMetrics attaches a snapshot of every observability
@@ -347,10 +347,10 @@ func Run(cfg Config) (*Result, error) {
 	}
 	mcfg.NewPrefetcher = pf
 
-	var col *analysis.Collector
+	var chars *analysis.Tracker
 	if cfg.CollectCharacteristics {
-		col = &analysis.Collector{Node: 0}
-		mcfg.MissObserver = col.Observe
+		chars = &analysis.Tracker{Node: 0}
+		mcfg.MissObserver = chars.Observe
 	}
 
 	var sp *obs.SpanRecorder
@@ -379,10 +379,10 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	res := &Result{App: prog.Name, Scheme: cfg.Scheme, Stats: st}
-	if col != nil {
-		r := analysis.Analyze(col.Misses())
+	if chars != nil {
+		r := chars.Result()
 		res.Chars = &r
-		res.Sites = analysis.BySite(col.Misses())
+		res.Sites = chars.Sites()
 	}
 	if reg != nil {
 		res.Metrics = reg.Snapshot()
