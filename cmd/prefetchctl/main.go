@@ -1,9 +1,8 @@
 // Command prefetchctl is the prefetchd client: submit jobs, follow
-// their rows or progress, fetch results, cancel.
+// their rows, list and cancel them.
 //
 //	prefetchctl -addr 127.0.0.1:8080 submit -app matmul -scheme Seq -stream
 //	prefetchctl submit -figure6 -apps lu,mp3d -schemes Seq -procs 4
-//	prefetchctl watch j1
 //	prefetchctl fetch j1
 //	prefetchctl cancel j1
 //	prefetchctl list
@@ -14,7 +13,10 @@
 // Figure-6 sweep — or takes a spec of any kind verbatim via -spec / -f.
 // With -stream the NDJSON stream goes to stdout and the exit status
 // reflects the job's terminal state; without it the submission record
-// prints and the job runs server-side.
+// prints and the job runs server-side. fetch follows such a job the
+// same way: a live job's rows until it settles, a settled job's payload
+// replayed from the server's result cache, and a non-zero exit unless
+// the job ended done.
 package main
 
 import (
@@ -41,8 +43,7 @@ func usage() {
 
 commands:
   submit   submit a job (see prefetchctl submit -h)
-  watch    follow a job's progress events      (watch <id>)
-  fetch    stream a job's NDJSON result        (fetch <id>)
+  fetch    follow a job's NDJSON stream        (fetch <id>)
   cancel   cancel a job                        (cancel <id>)
   list     list jobs
   status   print the server status snapshot
@@ -69,8 +70,6 @@ func main() {
 	switch cmd {
 	case "submit":
 		cmdSubmit(base, args)
-	case "watch":
-		watch(do(http.MethodGet, job()+"/events", nil))
 	case "fetch":
 		copyStream(do(http.MethodGet, job()+"/stream", nil))
 	case "cancel":
@@ -228,24 +227,6 @@ func copyBody(resp *http.Response) {
 		fatalf("server returned %s", resp.Status)
 	}
 	os.Stdout.Write(body)
-}
-
-// watch prints the data of each server-sent progress event.
-func watch(resp *http.Response) {
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(os.Stderr, resp.Body)
-		fatalf("server returned %s", resp.Status)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		if data, ok := strings.CutPrefix(sc.Text(), "data: "); ok {
-			fmt.Println(data)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		fatalf("watch: %v", err)
-	}
 }
 
 func mustMarshal(v any) []byte {

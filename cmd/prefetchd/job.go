@@ -131,7 +131,7 @@ func ndjson(buf []byte, v any) []byte {
 
 // job is one submitted job's live state. The mutex guards everything
 // below it; notify is closed and replaced on every observable change,
-// which is what lets any number of stream/SSE watchers follow along
+// which is what lets any number of stream watchers follow along
 // without the job ever blocking on a slow client. The server holds a
 // job only until it settles; then it keeps the job's record in its
 // history ring, and only the handlers already watching the job still

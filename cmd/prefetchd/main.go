@@ -1,9 +1,9 @@
 // Command prefetchd serves the simulator as a long-lived HTTP job
 // service: POST a job spec (a single run config or a Figure-6 sweep),
-// follow its rows as NDJSON or its progress as server-sent events, and
-// repeated submissions of the same spec are answered from a persistent
-// content-addressed result cache without re-simulating — the simulator
-// is deterministic, so equal spec digests mean byte-identical rows.
+// follow its rows as NDJSON, and repeated submissions of the same spec
+// are answered from a persistent content-addressed result cache without
+// re-simulating — the simulator is deterministic, so equal spec digests
+// mean byte-identical rows.
 //
 //	prefetchd -http 127.0.0.1:8080 -cache-dir /var/cache/prefetchd
 //
@@ -13,7 +13,6 @@
 //	GET    /jobs            list live and recently settled jobs
 //	GET    /jobs/{id}       one job's record (with lifecycle spans)
 //	GET    /jobs/{id}/stream  replay + follow the job's NDJSON
-//	GET    /jobs/{id}/events  progress as server-sent events
 //	DELETE /jobs/{id}       cancel
 //	GET    / and /status    the service's JSON status snapshot
 //	GET    /healthz         liveness; /readyz: readiness (503 draining)

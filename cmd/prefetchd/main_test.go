@@ -371,41 +371,36 @@ func TestStreamEndpointReplays(t *testing.T) {
 	}
 }
 
-// TestEventsEndpoint: SSE progress ends with a done event.
-func TestEventsEndpoint(t *testing.T) {
-	_, base := startTestServer(t, 2)
+// TestNextStopsWhenDoneCloses: a watcher waiting at the end of a live
+// job's payload gets ok=false once its done channel closes, without new
+// bytes or a terminal state.
+func TestNextStopsWhenDoneCloses(t *testing.T) {
+	t.Parallel()
+	j := newJob("j1", "run", "d")
+	line := ndjson(nil, rowLine{Type: "row", Total: 1, Text: "r"})
+	j.appendPayload(line)
+	done := make(chan struct{})
+	if chunk, _, ok := j.next(done, 0); !ok || !bytes.Equal(chunk, line) {
+		t.Fatalf("next(0) = %q, %v; want the first line", chunk, ok)
+	}
 
-	spec := `{"kind":"figure6","apps":["matmul"],"schemes":["Seq"],"procs":4}`
-	resp, err := http.Post(base+"/jobs", "application/json", strings.NewReader(spec))
-	if err != nil {
-		t.Fatalf("POST: %v", err)
+	type result struct {
+		chunk []byte
+		ok    bool
 	}
-	var rec jobRecord
-	if err := json.NewDecoder(resp.Body).Decode(&rec); err != nil {
-		t.Fatalf("decode record: %v", err)
+	got := make(chan result, 1)
+	go func() {
+		chunk, _, ok := j.next(done, len(line))
+		got <- result{chunk, ok}
+	}()
+	select {
+	case r := <-got:
+		t.Fatalf("next returned %q, %v before done closed", r.chunk, r.ok)
+	case <-time.After(20 * time.Millisecond):
 	}
-	resp.Body.Close()
-
-	resp, err = http.Get(fmt.Sprintf("%s/jobs/%s/events", base, rec.ID))
-	if err != nil {
-		t.Fatalf("GET events: %v", err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("events content-type %q", ct)
-	}
-	var sawDone bool
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		if sc.Text() == "event: done" {
-			sawDone = true
-		}
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatalf("scan events: %v", err)
-	}
-	if !sawDone {
-		t.Fatal("SSE stream ended without a done event")
+	close(done)
+	if r := <-got; r.ok || r.chunk != nil {
+		t.Fatalf("next after done closed = %q, %v; want nil, false", r.chunk, r.ok)
 	}
 }
 

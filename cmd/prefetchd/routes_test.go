@@ -82,6 +82,11 @@ func TestRouteTable(t *testing.T) {
 			t.Errorf("%s %s = %d %q, want %d", c.method, c.path, code, body, c.code)
 		}
 	}
+	// No job route serves /events, so even a job that exists would get
+	// the mux's own 404 rather than a "no such job" record.
+	if code, body := get(t, "GET", base+"/jobs/j1/events"); code != http.StatusNotFound || body != "404 page not found\n" {
+		t.Errorf("GET /jobs/j1/events = %d %q, want the mux's 404", code, body)
+	}
 	code, body := get(t, "GET", base+"/")
 	var st status
 	if code != http.StatusOK || json.Unmarshal([]byte(body), &st) != nil || st.Tool != "prefetchd" {

@@ -60,9 +60,8 @@ type server struct {
 	// counts specs that failed to decode or normalize.
 	rejected, badSpec *obs.AtomicCounter
 	// streamRows and streamBytes count NDJSON lines (and bytes) written
-	// to streaming clients; sseSubs gauges live /events watchers.
+	// to streaming clients.
 	streamRows, streamBytes *obs.AtomicCounter
-	sseSubs                 *obs.AtomicGauge
 	// retained gauges the jobs the server remembers: live jobs plus
 	// the history ring. rss and heap are the process's resident set and
 	// Go heap in use, sampled at every /metrics scrape.
@@ -155,7 +154,6 @@ func newServer(store *resultcache.Store, workers, maxJobs int) *server {
 	s.badSpec = reg.AtomicCounter("jobs.spec.invalid")
 	s.streamRows = reg.AtomicCounter("stream.rows")
 	s.streamBytes = reg.AtomicCounter("stream.bytes")
-	s.sseSubs = reg.AtomicGauge("sse.subscribers")
 	s.retained = reg.AtomicGauge("jobs.retained")
 	s.rss = reg.AtomicGauge("process.resident_memory_bytes")
 	s.heap = reg.AtomicGauge("go.heap_inuse_bytes")
@@ -468,7 +466,6 @@ func listen(addr string, s *server, pprofOn bool) (*http.Server, error) {
 	mux.HandleFunc("GET /jobs/{id}", s.handleGet)
 	mux.HandleFunc("DELETE /jobs/{id}", s.handleCancel)
 	mux.HandleFunc("GET /jobs/{id}/stream", s.handleStream)
-	mux.HandleFunc("GET /jobs/{id}/events", s.handleEvents)
 	mux.HandleFunc("GET /{$}", s.handleStatus)
 	mux.HandleFunc("GET /status", s.handleStatus)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
@@ -659,51 +656,4 @@ func (s *server) streamJob(w http.ResponseWriter, r *http.Request, j *job, rec j
 		Type: "done", Status: rec.Status, Cache: rec.Cache,
 		Rows: rec.Rows, WallNS: rec.WallNS, Error: rec.Error,
 	}))
-}
-
-// handleEvents serves job progress as server-sent events: one
-// "progress" event per state change, a final "done" event, then EOF.
-// A settled job sends its done event at once. The subscriber gauge
-// tracks live watchers; it returns to its prior level however the
-// watcher leaves (done event or disconnect).
-func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j, rec, ok := s.lookup(r.PathValue("id"))
-	if !ok {
-		writeErr(w, http.StatusNotFound, errNoJob)
-		return
-	}
-	s.sseSubs.Add(1)
-	defer s.sseSubs.Add(-1)
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-store")
-	fl, _ := w.(http.Flusher)
-
-	var last jobRecord
-	var ch chan struct{}
-	for first := true; ; first = false {
-		if j != nil {
-			j.mu.Lock()
-			rec, ch = j.recordLocked(), j.notify
-			j.mu.Unlock()
-		}
-		if first || rec != last {
-			event := "progress"
-			if terminal(rec.Status) {
-				event = "done"
-			}
-			fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, mustJSON(rec))
-			if fl != nil {
-				fl.Flush()
-			}
-			last = rec
-		}
-		if terminal(rec.Status) {
-			return
-		}
-		select {
-		case <-ch:
-		case <-r.Context().Done():
-			return
-		}
-	}
 }

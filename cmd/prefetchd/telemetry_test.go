@@ -2,10 +2,12 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -160,63 +162,50 @@ func TestJobSpanReconcile(t *testing.T) {
 	}
 }
 
-// TestSSESubscriberLifecycle: a client disconnecting mid-stream
-// releases its subscriber slot (gauge back down) without disturbing a
-// concurrent watcher, which still receives the final done event.
-func TestSSESubscriberLifecycle(t *testing.T) {
+// TestStreamWatcherDisconnect: two /stream watchers follow a running
+// sweep and one disconnects mid-run. Its handler returns while the job
+// still runs, and the survivor still reads the whole payload,
+// byte-identical to the cached one, and the done trailer.
+func TestStreamWatcherDisconnect(t *testing.T) {
 	s, base := startTestServer(t, 1)
+	mux := jobMux(t, s)
 
-	// A multi-scheme sweep holds the only slot long enough for
-	// watchers to attach and detach while it runs.
-	spec := `{"kind":"figure6","apps":["lu"],"schemes":["I-det","D-det","Seq"],"procs":4}`
-	rec := postJob(t, base, spec)
-	events := fmt.Sprintf("%s/jobs/%s/events", base, rec.ID)
+	// An lu sweep runs for about a second, long enough for a watcher
+	// to attach and detach while it runs.
+	spec := `{"kind":"figure6","apps":["lu"],"schemes":["Seq"],"procs":4}`
+	id := postJob(t, base, spec).ID
+
+	survivor, err := http.Get(fmt.Sprintf("%s/jobs/%s/stream", base, id))
+	if err != nil {
+		t.Fatalf("GET stream (survivor): %v", err)
+	}
+	defer survivor.Body.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, events, nil)
-	resp1, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatalf("GET events (1): %v", err)
-	}
-	defer resp1.Body.Close()
-
-	resp2, err := http.Get(events)
-	if err != nil {
-		t.Fatalf("GET events (2): %v", err)
-	}
-	defer resp2.Body.Close()
-
-	waitFor(t, "two SSE subscribers", func() bool { return s.sseSubs.Value() == 2 })
-
-	// Sever the first watcher mid-stream: its handler must notice the
-	// disconnect and release the slot while the job is still running.
+	left := make(chan struct{})
+	go func() {
+		defer close(left)
+		req := httptest.NewRequest("GET", "/jobs/"+id+"/stream", nil).WithContext(ctx)
+		mux.ServeHTTP(httptest.NewRecorder(), req)
+	}()
 	cancel()
-	waitFor(t, "disconnect to release a subscriber", func() bool { return s.sseSubs.Value() == 1 })
+	<-left
+	if _, rec, _ := s.lookup(id); terminal(rec.Status) {
+		t.Fatalf("job settled before the watcher left: %+v", rec)
+	}
 
-	// Settle the job (cancel is its fastest terminal state); the
-	// surviving watcher still gets the done event, then EOF.
-	delReq, _ := http.NewRequest(http.MethodDelete, base+"/jobs/"+rec.ID, nil)
-	delResp, err := http.DefaultClient.Do(delReq)
-	if err != nil {
-		t.Fatalf("DELETE job: %v", err)
+	header, payload, done := parseStream(t, []byte(readAll(t, survivor)))
+	if header.ID != id || done.Status != statusDone {
+		t.Fatalf("survivor's stream: header %+v, done %+v", header.jobRecord, done)
 	}
-	delResp.Body.Close()
-
-	sawDone := false
-	sc := bufio.NewScanner(resp2.Body)
-	for sc.Scan() {
-		if sc.Text() == "event: done" {
-			sawDone = true
-		}
+	_, rec, _ := s.lookup(id)
+	want, ok := s.store.Get(rec.Digest)
+	if !ok {
+		t.Fatal("settled job's payload is not in the result cache")
 	}
-	if err := sc.Err(); err != nil {
-		t.Fatalf("scan surviving watcher: %v", err)
+	if got := append(bytes.Join(payload, newline), '\n'); !bytes.Equal(got, want) {
+		t.Fatalf("survivor read\n%s\nwant the cached payload\n%s", got, want)
 	}
-	if !sawDone {
-		t.Fatal("surviving watcher ended without a done event")
-	}
-	waitFor(t, "all subscribers released", func() bool { return s.sseSubs.Value() == 0 })
 }
 
 // TestMetricsEndpoint scrapes /metrics after a miss + hit pair and

@@ -350,7 +350,6 @@ func (m *Machine) finalize() {
 			max = n.st.ExecTime
 		}
 		n.st.PrefetchesUnconsumed = int64(n.slc.PrefetchedCount())
-		n.met.PrefUseless.Add(n.st.PrefetchesUnconsumed)
 	}
 	m.Stats.ExecTime = max
 	m.Stats.NetMessages = m.mesh.Messages
@@ -409,8 +408,7 @@ func (m *Machine) freeSLWB(n *node) {
 }
 
 // classifyMiss attributes a demand read miss to cold, coherence or
-// replacement (§5.1, §5.3) and mirrors the class into the node's
-// metrics. The returned span class (SpanMissCold/SpanMissCoherence/
+// replacement (§5.1, §5.3). The returned span class (SpanMissCold/SpanMissCoherence/
 // SpanMissReplacement) lets the caller stamp the servicing
 // transaction's span.
 func (m *Machine) classifyMiss(n *node, b mem.Block) obs.SpanClass {
@@ -418,22 +416,18 @@ func (m *Machine) classifyMiss(n *node, b mem.Block) obs.SpanClass {
 	switch {
 	case h&hTouched == 0:
 		n.st.ColdMisses++
-		n.met.MissCold.Inc()
 		return obs.SpanMissCold
 	case h&hInv != 0:
 		n.st.CoherenceMisses++
-		n.met.MissCoherence.Inc()
 		return obs.SpanMissCoherence
 	case h&hRepl != 0:
 		n.st.ReplacementMisses++
-		n.met.MissReplacement.Inc()
 		return obs.SpanMissReplacement
 	default:
 		// Present-history block missing without invalidation or
 		// replacement: a fill consumed while invalidated-in-flight;
 		// attribute to coherence.
 		n.st.CoherenceMisses++
-		n.met.MissCoherence.Inc()
 		return obs.SpanMissCoherence
 	}
 }

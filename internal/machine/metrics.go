@@ -6,26 +6,12 @@ import (
 	"prefetchsim/internal/obs"
 )
 
-// NodeMetrics are one node's observability instruments (internal/obs).
-// They are embedded by value in the node, so instrumentation adds no
-// allocation, and updated with plain integer arithmetic alongside the
-// stats counters. Unlike stats.Node — whose printed form is pinned by
-// the golden digests — this struct may grow freely.
+// NodeMetrics are one node's observability instruments (internal/obs)
+// that stats.Node does not already count. They are embedded by value
+// in the node, so instrumentation adds no allocation, and updated with
+// plain integer arithmetic. Unlike stats.Node — whose printed form is
+// pinned by the golden digests — this struct may grow freely.
 type NodeMetrics struct {
-	// Demand-miss taxonomy (§5.1, §5.3), mirroring the stats counters
-	// but exported through the metrics namespace.
-	MissCold        obs.Counter
-	MissCoherence   obs.Counter
-	MissReplacement obs.Counter
-
-	// Prefetch effectiveness (§3, §6): issued proposals, consumed
-	// blocks, delayed hits (in flight when demanded: useful but late),
-	// and blocks still tagged at the end of the run (useless traffic).
-	PrefIssued  obs.Counter
-	PrefUseful  obs.Counter
-	PrefLate    obs.Counter
-	PrefUseless obs.Counter
-
 	// SLWB tracks second-level write-buffer occupancy; its high-water
 	// mark shows how close the run came to the 16-entry limit.
 	SLWB obs.Gauge
@@ -48,8 +34,11 @@ type NodeMetrics struct {
 func (n *node) slwbSet() { n.met.SLWB.Set(int64(n.slwbUsed)) }
 
 // BindMetrics registers the machine's instruments — the engine's
-// dispatch counters and every node's NodeMetrics — under hierarchical
-// names ("engine.events", "node3.miss.cold") in r. It only stores
+// dispatch counters, every node's NodeMetrics and the stats.Node
+// counts of the miss taxonomy (§5.1, §5.3) and prefetch effectiveness
+// (§3, §6) — under hierarchical names ("engine.events",
+// "node3.miss.cold") in r. A delayed hit is a useful but late
+// prefetch; an unconsumed one is useless traffic. It only stores
 // pointers, so it may run before Run; snapshots must wait until Run
 // returns (see internal/obs's ownership rule).
 func (m *Machine) BindMetrics(r *obs.Registry) {
@@ -57,13 +46,13 @@ func (m *Machine) BindMetrics(r *obs.Registry) {
 	r.BindGauge("engine.queue", &m.engMet.Queue)
 	for _, n := range m.nodes {
 		p := fmt.Sprintf("node%d.", n.id)
-		r.BindCounter(p+"miss.cold", &n.met.MissCold)
-		r.BindCounter(p+"miss.coherence", &n.met.MissCoherence)
-		r.BindCounter(p+"miss.replacement", &n.met.MissReplacement)
-		r.BindCounter(p+"prefetch.issued", &n.met.PrefIssued)
-		r.BindCounter(p+"prefetch.useful", &n.met.PrefUseful)
-		r.BindCounter(p+"prefetch.late", &n.met.PrefLate)
-		r.BindCounter(p+"prefetch.useless", &n.met.PrefUseless)
+		r.BindCounter(p+"miss.cold", &n.st.ColdMisses)
+		r.BindCounter(p+"miss.coherence", &n.st.CoherenceMisses)
+		r.BindCounter(p+"miss.replacement", &n.st.ReplacementMisses)
+		r.BindCounter(p+"prefetch.issued", &n.st.PrefetchesIssued)
+		r.BindCounter(p+"prefetch.useful", &n.st.PrefetchesUseful)
+		r.BindCounter(p+"prefetch.late", &n.st.DelayedHits)
+		r.BindCounter(p+"prefetch.useless", &n.st.PrefetchesUnconsumed)
 		r.BindGauge(p+"slwb", &n.met.SLWB)
 		r.BindHistogram(p+"flwb.wait", &n.met.FLWBWait)
 		r.BindHistogram(p+"read.miss.stall", &n.met.ReadMissStall)

@@ -198,7 +198,6 @@ func (m *Machine) doRead(n *node, op trace.Op) bool {
 	if present && line.Prefetched {
 		n.slc.ClearPrefetched(b)
 		n.st.PrefetchesUseful++
-		n.met.PrefUseful.Inc()
 		if m.sp != nil {
 			m.consumePrefetchSpan(n, b, slcStart)
 		}
@@ -238,8 +237,6 @@ func (m *Machine) doRead(n *node, op trace.Op) bool {
 			n.st.PrefetchesMerged++
 			n.st.PrefetchesUseful++
 			n.st.DelayedHits++
-			n.met.PrefUseful.Inc()
-			n.met.PrefLate.Inc()
 		} else {
 			// Merging with an ownership acquisition or another demand
 			// request: still a read miss.
@@ -322,7 +319,6 @@ func (m *Machine) emitPrefetch(n *node, pb mem.Block) {
 		return
 	}
 	n.st.PrefetchesIssued++
-	n.met.PrefIssued.Inc()
 	m.sendReadTx(n, pb, true, n.pfTime)
 }
 
@@ -357,7 +353,6 @@ func (m *Machine) doWrite(n *node, op trace.Op) bool {
 		// A store consumes the prefetched block too.
 		n.slc.ClearPrefetched(b)
 		n.st.PrefetchesUseful++
-		n.met.PrefUseful.Inc()
 		if m.sp != nil {
 			m.consumePrefetchSpan(n, b, slcStart)
 		}

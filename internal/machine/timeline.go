@@ -49,6 +49,6 @@ func (m *Machine) timePoint(at sim.Time) obs.TimePoint {
 	p.NetMsgs = m.mesh.Messages
 	p.NetFlits = m.mesh.Flits
 	p.NetFlitHops = m.mesh.FlitHops
-	p.Events = m.engMet.Events.Value()
+	p.Events = m.engMet.Events
 	return p
 }

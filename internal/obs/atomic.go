@@ -2,9 +2,9 @@ package obs
 
 import "sync/atomic"
 
-// The atomic instrument variants: the serving-path counterparts of
-// Counter, Gauge and Histogram. The simulation instruments are plain
-// integers because one simulation runs on one goroutine; a server's
+// The atomic instrument variants: the serving-path counterparts of a
+// bound int64 count, Gauge and Histogram. The simulation instruments
+// are plain integers because one simulation runs on one goroutine; a server's
 // instruments are bumped from request handlers and job goroutines
 // concurrently, so these use atomics. They bind into the same Registry
 // and render identically in Snapshots and the Prometheus exposition —

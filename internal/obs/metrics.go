@@ -9,11 +9,12 @@
 // The design splits instrumentation from export so that observing costs
 // nothing it does not have to:
 //
-//   - Counter, Gauge and Histogram are plain value types meant to be
-//     embedded in the owning component (a machine node, the event
-//     engine). They allocate nothing — a Histogram's buckets are a
-//     fixed-size array — and updates are non-atomic single-word
-//     arithmetic, safe because one simulation runs on one goroutine.
+//   - A counter is a plain int64 field of the owning component (a
+//     machine node's stats, the event engine); Gauge and Histogram are
+//     plain value types embedded the same way. They allocate nothing —
+//     a Histogram's buckets are a fixed-size array — and updates are
+//     non-atomic single-word arithmetic, safe because one simulation
+//     runs on one goroutine.
 //   - A Registry is only built when a caller wants the numbers out: it
 //     binds names ("node3.miss.cold") to the embedded instruments and
 //     renders a sorted Snapshot. Nothing on the simulation fast path
@@ -33,19 +34,6 @@ import (
 	"sort"
 	"sync"
 )
-
-// Counter is a monotonically increasing count. The zero value is ready
-// to use.
-type Counter struct{ v int64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v++ }
-
-// Add adds n.
-func (c *Counter) Add(n int64) { c.v += n }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v }
 
 // Gauge is an instantaneous level with a high-water mark. The zero
 // value is ready to use.
@@ -183,7 +171,7 @@ func totalName(name string) string {
 // pointers is set.
 type entry struct {
 	name string
-	c    *Counter
+	c    *int64
 	g    *Gauge
 	h    *Histogram
 	ac   *AtomicCounter
@@ -214,36 +202,15 @@ func (r *Registry) bind(e entry) {
 	r.entries = append(r.entries, e)
 }
 
-// BindCounter registers an externally owned counter under name.
+// BindCounter registers an externally owned count under name.
 // Binding a name twice is a programming error and panics.
-func (r *Registry) BindCounter(name string, c *Counter) { r.bind(entry{name: name, c: c}) }
+func (r *Registry) BindCounter(name string, c *int64) { r.bind(entry{name: name, c: c}) }
 
 // BindGauge registers an externally owned gauge under name.
 func (r *Registry) BindGauge(name string, g *Gauge) { r.bind(entry{name: name, g: g}) }
 
 // BindHistogram registers an externally owned histogram under name.
 func (r *Registry) BindHistogram(name string, h *Histogram) { r.bind(entry{name: name, h: h}) }
-
-// Counter creates, registers and returns a registry-owned counter.
-func (r *Registry) Counter(name string) *Counter {
-	c := new(Counter)
-	r.BindCounter(name, c)
-	return c
-}
-
-// Gauge creates, registers and returns a registry-owned gauge.
-func (r *Registry) Gauge(name string) *Gauge {
-	g := new(Gauge)
-	r.BindGauge(name, g)
-	return g
-}
-
-// Histogram creates, registers and returns a registry-owned histogram.
-func (r *Registry) Histogram(name string) *Histogram {
-	h := new(Histogram)
-	r.BindHistogram(name, h)
-	return h
-}
 
 // BindAtomicCounter registers an externally owned atomic counter.
 func (r *Registry) BindAtomicCounter(name string, c *AtomicCounter) {
@@ -276,14 +243,6 @@ func (r *Registry) AtomicGauge(name string) *AtomicGauge {
 	return g
 }
 
-// AtomicHistogram creates, registers and returns a registry-owned
-// atomic histogram.
-func (r *Registry) AtomicHistogram(name string) *AtomicHistogram {
-	h := new(AtomicHistogram)
-	r.BindAtomicHistogram(name, h)
-	return h
-}
-
 // histSamples renders a histogram's snapshot samples: count, sum, and
 // one ".lt<bound>" sample per non-empty bucket.
 func (e *entry) histSamples(count, sum int64, bucket func(int) int64) []Sample {
@@ -314,7 +273,7 @@ func (r *Registry) Snapshot() Snapshot {
 	for _, e := range r.entries {
 		switch {
 		case e.c != nil:
-			s = append(s, Sample{e.name, e.c.Value()})
+			s = append(s, Sample{e.name, *e.c})
 		case e.ac != nil:
 			s = append(s, Sample{e.name, e.ac.Value()})
 		case e.g != nil:

@@ -7,11 +7,15 @@ import (
 	"testing"
 )
 
+// TestCounterGauge: a bound count snapshots its value at the time of
+// the snapshot, not of the bind; a gauge keeps its high-water mark.
 func TestCounterGauge(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(41)
-	if got := c.Value(); got != 42 {
+	r := NewRegistry()
+	var c int64
+	r.BindCounter("c", &c)
+	c++
+	c += 41
+	if got, _ := r.Snapshot().Get("c"); got != 42 {
 		t.Fatalf("counter = %d, want 42", got)
 	}
 
@@ -65,14 +69,17 @@ func TestHistogramBuckets(t *testing.T) {
 
 func TestRegistrySnapshot(t *testing.T) {
 	r := NewRegistry()
-	var ext Counter
-	ext.Add(7)
-	r.BindCounter("node3.miss.cold", &ext)
-	r.Counter("engine.events").Add(100)
-	g := r.Gauge("node3.slwb")
+	var (
+		cold, events int64 = 7, 100
+		g            Gauge
+		h            Histogram
+	)
+	r.BindCounter("node3.miss.cold", &cold)
+	r.BindCounter("engine.events", &events)
+	r.BindGauge("node3.slwb", &g)
+	r.BindHistogram("node3.lat", &h)
 	g.Set(4)
 	g.Set(1)
-	h := r.Histogram("node3.lat")
 	h.Observe(3)
 	h.Observe(300)
 
@@ -130,8 +137,9 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 		}
 	}()
 	r := NewRegistry()
-	r.Counter("a")
-	r.Counter("a")
+	var a int64
+	r.BindCounter("a", &a)
+	r.BindCounter("a", &a)
 }
 
 // TestRegistryConcurrentBindSnapshot exercises the registry's own
@@ -148,8 +156,8 @@ func TestRegistryConcurrentBindSnapshot(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				c := new(Counter)
-				c.Add(int64(i))
+				c := new(int64)
+				*c = int64(i)
 				r.BindCounter(string(rune('a'+w))+"."+string(rune('a'+i%26))+string(rune('0'+i/26)), c)
 				s := r.Snapshot()
 				if len(s) == 0 {

@@ -102,7 +102,7 @@ func (pw *promWriter) head(name, dotted, typ string) {
 func (e *entry) writeProm(pw *promWriter) {
 	switch {
 	case e.c != nil:
-		e.promCounter(pw, e.c.Value())
+		e.promCounter(pw, *e.c)
 	case e.ac != nil:
 		e.promCounter(pw, e.ac.Value())
 	case e.g != nil:

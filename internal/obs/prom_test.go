@@ -32,20 +32,26 @@ func TestPromName(t *testing.T) {
 func TestWritePrometheusGolden(t *testing.T) {
 	t.Parallel()
 	r := NewRegistry()
-	r.Counter("jobs.done").Add(7)
+	var (
+		done, rows int64 = 7, 9
+		g          Gauge
+		h          Histogram
+		ah         AtomicHistogram
+	)
+	r.BindCounter("jobs.done", &done)
 	r.AtomicCounter("resultcache.hits").Add(3)
-	r.Counter("rows.total").Add(9) // already suffixed: not doubled
-	g := r.Gauge("queue.depth")
+	r.BindCounter("rows.total", &rows) // already suffixed: not doubled
+	r.BindGauge("queue.depth", &g)
 	g.Set(5)
 	g.Set(2)
-	ag := r.AtomicGauge("sse.subscribers")
+	ag := r.AtomicGauge("slots.busy")
 	ag.Add(4)
 	ag.Add(-4)
-	h := r.Histogram("wait.us")
+	r.BindHistogram("wait.us", &h)
 	for _, v := range []int64{0, 1, 1, 3, 1 << 30} { // bucket 0, 1 (x2), 2, last
 		h.Observe(v)
 	}
-	ah := r.AtomicHistogram("run.us")
+	r.BindAtomicHistogram("run.us", &ah)
 	ah.Observe(2)
 
 	var b strings.Builder
@@ -87,9 +93,9 @@ run_us_bucket{le="3"} 1
 		`run_us_bucket{le="+Inf"} 1`,
 		"run_us_sum 2",
 		"run_us_count 1",
-		// sse.subscribers returned to zero but the high-water mark holds.
-		"sse_subscribers 0",
-		"sse_subscribers_max 4",
+		// slots.busy returned to zero but the high-water mark holds.
+		"slots_busy 0",
+		"slots_busy_max 4",
 		// wait.us: 0 and three small values cumulate, the 2^30 outlier
 		// only lands in +Inf.
 		`wait_us_bucket{le="0"} 1`,
@@ -159,7 +165,9 @@ func TestAtomicSnapshot(t *testing.T) {
 	r := NewRegistry()
 	r.AtomicCounter("c").Add(2)
 	r.AtomicGauge("g").Set(3)
-	r.AtomicHistogram("h").Observe(5)
+	var h AtomicHistogram
+	r.BindAtomicHistogram("h", &h)
+	h.Observe(5)
 	m := r.Snapshot().Map()
 	for name, want := range map[string]int64{
 		"c": 2, "g": 3, "g.max": 3, "h.count": 1, "h.sum": 5, "h.lt8": 1,

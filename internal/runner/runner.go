@@ -120,38 +120,14 @@ func Map[J, R any](ctx context.Context, workers int, jobs []J, fn func(ctx conte
 	return results, errs
 }
 
-// Cache is a concurrency-safe singleflight memo: Do runs fn at most
-// once per key, and concurrent callers of the same key block until the
-// first call's result is ready and then share it (value and error
-// alike). The zero value is ready to use; a Cache must not be copied
-// after first use.
+// Cache is a concurrency-safe singleflight memo of successes: DoCtx
+// runs fn at most once per key until it succeeds, and concurrent
+// callers of the same key block until the first call's result is
+// ready and then share it. The zero value is ready to use; a Cache
+// must not be copied after first use.
 type Cache[K comparable, V any] struct {
 	mu sync.Mutex
-	m  map[K]*cacheEntry[V]
-	cm map[K]*flight[V] // DoCtx's key space (successes only)
-}
-
-type cacheEntry[V any] struct {
-	once sync.Once
-	val  V
-	err  error
-}
-
-// Do returns the cached result for key, computing it with fn on the
-// first call.
-func (c *Cache[K, V]) Do(key K, fn func() (V, error)) (V, error) {
-	c.mu.Lock()
-	if c.m == nil {
-		c.m = make(map[K]*cacheEntry[V])
-	}
-	e := c.m[key]
-	if e == nil {
-		e = new(cacheEntry[V])
-		c.m[key] = e
-	}
-	c.mu.Unlock()
-	e.once.Do(func() { e.val, e.err = fn() })
-	return e.val, e.err
+	m  map[K]*flight[V] // in-flight and succeeded computations
 }
 
 // flight is one in-progress or memoized DoCtx computation. err is only
@@ -164,9 +140,8 @@ type flight[V any] struct {
 	err  error
 }
 
-// DoCtx is the serving-path variant of Do: singleflight with
-// cancellation, designed for long-lived caches fed by request
-// handlers. It differs from Do in three ways:
+// DoCtx returns the memoized result for key, computing it with fn if
+// no earlier call succeeded; it is singleflight with cancellation:
 //
 //   - Errors are not memoized. A failed computation is forgotten, so
 //     the next caller of the key retries instead of replaying a stale
@@ -176,9 +151,6 @@ type flight[V any] struct {
 //   - A computing caller whose ctx dies mid-fn (fn returning the
 //     cancellation error) does not poison the entry: the key is
 //     forgotten and later callers compute it fresh.
-//
-// Do and DoCtx keep separate key spaces; a Cache may use either or
-// both.
 func (c *Cache[K, V]) DoCtx(ctx context.Context, key K, fn func(context.Context) (V, error)) (V, error) {
 	var zero V
 	for {
@@ -186,22 +158,22 @@ func (c *Cache[K, V]) DoCtx(ctx context.Context, key K, fn func(context.Context)
 			return zero, err
 		}
 		c.mu.Lock()
-		if c.cm == nil {
-			c.cm = make(map[K]*flight[V])
+		if c.m == nil {
+			c.m = make(map[K]*flight[V])
 		}
-		f := c.cm[key]
+		f := c.m[key]
 		if f == nil {
 			// This caller owns the computation.
 			f = &flight[V]{done: make(chan struct{})}
-			c.cm[key] = f
+			c.m[key] = f
 			c.mu.Unlock()
 			f.val, f.err = fn(ctx)
 			c.mu.Lock()
 			// Forget failures (cancellation included) — but only our own
 			// flight: a Forget during the computation may have installed
 			// a successor that must not be clobbered.
-			if f.err != nil && c.cm[key] == f {
-				delete(c.cm, key)
+			if f.err != nil && c.m[key] == f {
+				delete(c.m, key)
 			}
 			c.mu.Unlock()
 			close(f.done)
@@ -221,7 +193,7 @@ func (c *Cache[K, V]) DoCtx(ctx context.Context, key K, fn func(context.Context)
 	}
 }
 
-// Forget drops key from DoCtx's memo, so the next DoCtx caller
+// Forget drops key from the memo, so the next DoCtx caller
 // computes it fresh. A server whose results persist elsewhere (the
 // on-disk result cache) forgets each key once it is durably stored,
 // keeping DoCtx a pure in-flight dedup rather than a second,
@@ -229,14 +201,14 @@ func (c *Cache[K, V]) DoCtx(ctx context.Context, key K, fn func(context.Context)
 // its waiters still share its outcome.
 func (c *Cache[K, V]) Forget(key K) {
 	c.mu.Lock()
-	delete(c.cm, key)
+	delete(c.m, key)
 	c.mu.Unlock()
 }
 
-// Len reports the number of distinct keys seen (Do and DoCtx key
-// spaces combined; failed DoCtx keys are forgotten, not counted).
+// Len reports the number of keys in flight or memoized (failed keys
+// are forgotten, not counted).
 func (c *Cache[K, V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.m) + len(c.cm)
+	return len(c.m)
 }

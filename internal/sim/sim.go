@@ -41,7 +41,7 @@ type Time int64
 // the simulation's own goroutine).
 type EngineMetrics struct {
 	// Events counts dispatched events.
-	Events obs.Counter
+	Events int64
 	// Queue tracks the pending-event queue depth (wheel plus
 	// overflow), sampled at each dispatch; its high-water mark bounds
 	// the queue's working set.
@@ -367,7 +367,7 @@ func (e *Engine) Step() bool {
 		return false
 	}
 	if e.met != nil {
-		e.met.Events.Inc()
+		e.met.Events++
 		e.met.Queue.Set(int64(e.n))
 	}
 	t := e.horizon

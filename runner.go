@@ -73,6 +73,8 @@ func baselineKeyFor(cfg Config) baselineKey {
 // so the shared baseline per (app, slc, procs, scale, seed, ...) tuple
 // executes once instead of once per scheme. Concurrent jobs needing
 // the same baseline block on the first one running it (singleflight).
+// A failed baseline is not memoized: each scheme that needs it runs it
+// again and reports the same error.
 type baselineCache struct {
 	cache runner.Cache[baselineKey, *Result]
 }
@@ -82,7 +84,7 @@ type baselineCache struct {
 // executes through o, so a sweep's manifest recorder sees each shared
 // baseline exactly once.
 func (b *baselineCache) get(o ExpOptions, cfg Config) (*Result, error) {
-	return b.cache.Do(baselineKeyFor(cfg), func() (*Result, error) {
+	return b.cache.DoCtx(o.ctx(), baselineKeyFor(cfg), func(context.Context) (*Result, error) {
 		return o.run(cfg)
 	})
 }

@@ -6,8 +6,9 @@
 # promises:
 #
 #   - the server reports ready on /readyz before any traffic is sent,
-#   - the route table is closed: an unknown path answers 404 and a
-#     known path with the wrong method 405,
+#   - the route table is closed: an unknown path answers 404 (so does
+#     /jobs/<id>/events, even for a job that exists) and a known path
+#     with the wrong method 405,
 #   - the first submission computes (done line says cache "miss"),
 #   - the second is served from the cache (done line says "hit"),
 #   - the row lines of both NDJSON transcripts are byte-identical,
@@ -17,8 +18,8 @@
 #     incremented, the runner queue drained back to zero and the
 #     jobs_retained gauge present,
 #   - the first job, settled and reduced to its history record by now,
-#     re-streams through /jobs/<id>/stream from the result cache with
-#     the same row lines,
+#     re-streams through `prefetchctl fetch <id>` (/jobs/<id>/stream)
+#     from the result cache with the same row lines, and fetch exits 0,
 #   - SIGTERM drains gracefully and persists the cache index.
 #
 # The three transcripts and the Prometheus scrape land in the artifact
@@ -130,7 +131,8 @@ grep -q '^jobs_retained [0-9]' "$art/metrics.prom" \
 echo "== re-stream of the settled first job"
 id1="$(grep '"type":"job"' "$art/run1.ndjson" | sed -n 's/.*"id":"\([^"]*\)".*/\1/p')"
 [[ -n "$id1" ]] || die "first transcript has no job id"
-curl -fsS "http://$addr/jobs/$id1/stream" >"$art/restream1.ndjson" || die "re-stream of $id1 failed"
+[[ "$(http_code GET "/jobs/$id1/events")" == 404 ]] || die "GET /jobs/$id1/events: $(http_code GET "/jobs/$id1/events"), want 404"
+ctl fetch "$id1" >"$art/restream1.ndjson" || die "prefetchctl fetch $id1 failed"
 [[ "$(done_field "$art/restream1.ndjson" status)" == "done" ]] \
   || die "re-stream of $id1 did not end done: $(grep '"type":"done"' "$art/restream1.ndjson")"
 grep '"type":"row"' "$art/restream1.ndjson" >"$work/rows3"
